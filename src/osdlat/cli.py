@@ -12,6 +12,7 @@ summary to <out>.json (or stderr when printing to stdout).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,6 +37,8 @@ from osdlat.oscomplexity import (
 
 DEFAULT_SEED = 12345
 WORKERS_ENV = "OSDLAT_WORKERS"
+# Largest table a start:stop:step range may ask for, checked before any row is built.
+MAX_RANGE_ROWS = 100_000
 
 
 def _workers() -> int:
@@ -48,10 +51,14 @@ def _parse_range(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must look like start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"range bounds and step must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"range needs stop >= start and step > 0, got {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    spans = (stop - start) / step + 1e-9
+    if spans >= MAX_RANGE_ROWS:
+        raise ValueError(f"range {spec!r} has more than {MAX_RANGE_ROWS} rows")
+    return [start + i * step for i in range(int(math.floor(spans)) + 1)]
 
 
 def _parse_int_pair(spec: str) -> tuple[int, int]:
@@ -68,9 +75,17 @@ def _parse_code(spec: str) -> codecsim.CodeSpec:
     return codecsim.build_ebch(int(match.group(1)), int(match.group(2)))
 
 
+def _file_text(path: str) -> str:
+    """Argument type of file flags: the file's text, read at parse time."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _law_params(args) -> tradeoff.TradeoffParams | None:
     if getattr(args, "params_file", None):
-        return tradeoff.params_from_json(Path(args.params_file).read_text(encoding="utf-8"))
+        return tradeoff.params_from_json(args.params_file)
     return None
 
 
@@ -137,23 +152,12 @@ def cmd_complexity(args) -> int:
 def cmd_tradeoff(args) -> int:
     if args.fit:
         points = []
-        text = Path(args.fit).read_text(encoding="utf-8").strip().splitlines()
-        for line in text[1:]:
+        for line in args.fit.strip().splitlines()[1:]:
             drho, c = (float(v) for v in line.split(","))
             points.append(tradeoff.PenaltyPoint(delta_rho_db=drho, c=c))
         result = tradeoff.fit_params(points, n_anchor=args.n_anchor)
-        doc = {
-            "n_anchor": result.params.n_anchor,
-            "a": result.params.a,
-            "b": result.params.b,
-            "gamma_fit": result.params.gamma_fit,
-            "rms_residual": result.rms_residual,
-        }
-        text_out = ioutil.json_text(doc)
-        if args.out:
-            Path(args.out).write_text(text_out, encoding="utf-8")
-        else:
-            sys.stdout.write(text_out)
+        doc = {**dataclasses.asdict(result.params), "rms_residual": result.rms_residual}
+        _emit(args, ioutil.json_text(doc), None)
         return 0
     params = _law_params(args) or tradeoff.params_for_blocklength(args.n, args.extrapolation)
     rows = []
@@ -266,7 +270,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(sub):
         sub.add_argument("--out", help="CSV output path (default stdout)")
-        sub.add_argument("--config", help="JSON file whose values override flags")
+        sub.add_argument("--config", type=_file_text, help="JSON file whose values override flags")
 
     rate = subs.add_parser("rate", help="normal-approximation rate table")
     rate.add_argument("--n", type=int, required=True)
@@ -292,8 +296,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trd.add_argument("--n", type=float, default=128)
     trd.add_argument("--delta-rho-range", default="0:10:0.5", help="start:stop:step in dB")
     trd.add_argument("--extrapolation", choices=("power", "clamp"), default="power")
-    trd.add_argument("--params-file", help="JSON law-parameter document")
-    trd.add_argument("--fit", help="CSV of delta_rho_db,c points to fit")
+    trd.add_argument("--params-file", type=_file_text, help="JSON law-parameter document")
+    trd.add_argument("--fit", type=_file_text, help="CSV of delta_rho_db,c points to fit")
     trd.add_argument("--n-anchor", type=int, default=128, help="blocklength tag for --fit")
     common(trd)
     trd.set_defaults(func=cmd_tradeoff)
@@ -325,7 +329,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     scn.add_argument("--n-step", type=int, default=1)
     scn.add_argument("--rate-step", type=float, default=0.05)
     scn.add_argument("--extrapolation", choices=("power", "clamp"), default="power")
-    scn.add_argument("--params-file", help="JSON law-parameter document applied to all n")
+    scn.add_argument(
+        "--params-file", type=_file_text, help="JSON law-parameter document applied to all n"
+    )
     common(scn)
     scn.set_defaults(func=cmd_scenario)
     registry["scenario"] = scn
@@ -333,24 +339,35 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, registry
 
 
-def _apply_config(parser, sub, args) -> None:
-    if not getattr(args, "config", None):
-        return
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+def _config_argv(parser, sub, text: str) -> list[str]:
+    """--flag=value tokens for a --config document.
+
+    Parsed after the command line, they override its flags and pass the
+    same type and choice checks.  The = form keeps values such as -30 or
+    -inf from being read as flags.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        parser.error(f"--config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         parser.error("--config must contain a JSON object")
-    allowed = {a.dest for a in sub._actions} - {"help", "config"}
-    unknown = set(doc) - allowed
+    flags = {a.dest: a.option_strings[-1] for a in sub._actions}
+    unknown = set(doc) - (set(flags) - {"help", "config"})
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        setattr(args, key, value)
+        if value is None or isinstance(value, (bool, list, dict)):
+            parser.error(f"config value of {key!r} must be a string or a number, got {value!r}")
+    return [f"{flags[key]}={value}" for key, value in doc.items()]
 
 
 def main(argv=None) -> int:
     parser, registry = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(parser, registry[args.command], args)
+    if args.config:
+        args = parser.parse_args(argv + _config_argv(parser, registry[args.command], args.config))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -39,10 +39,6 @@ class Snr:
         return 10.0 ** (self.db / 10.0)
 
     @classmethod
-    def from_db(cls, db: float) -> "Snr":
-        return cls(float(db))
-
-    @classmethod
     def from_linear(cls, rho: float) -> "Snr":
         if not rho > 0:
             raise ValueError(f"linear SNR must be positive, got {rho}")
@@ -97,29 +93,12 @@ def q_func(x: float) -> float:
     return min(max(p, tiny), 1.0 - 2.0**-53)
 
 
-@lru_cache(maxsize=4096)
 def q_inv(p: float) -> float:
-    """Inverse of q_func, by bracketing bisection plus Newton polish."""
+    """Inverse of q_func: the x with Q(x) = p."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inv argument must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if q_func(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        step = (q_func(x) - p) / pdf
-        if not math.isfinite(step):
-            break
-        x += step
-    return x
+    return float(-special.ndtri(p))
 
 
 @lru_cache(maxsize=64)

@@ -24,7 +24,7 @@ from osdlat.fblmath import (
     required_snr,
     validate_epsilon,
 )
-from osdlat.oscomplexity import LatencyBudget
+from osdlat.oscomplexity import LatencyBudget, total_latency
 from osdlat.tradeoff import (
     TradeoffParams,
     complexity_to_penalty,
@@ -50,10 +50,10 @@ class ScenarioConfig:
     """Shared inputs of the scenario sweeps.
 
     power_cap_db is the transmit-power budget P_m (required by maximize_k
-    and minimize_latency; may be inf in minimize_latency).  k_fixed is the
-    fixed payload of minimize_latency.  params_override pins one parameter
-    set for the complexity/penalty law instead of the per-blocklength
-    provider.
+    and minimize_latency; may be +inf in minimize_latency, never -inf or
+    nan).  k_fixed is the fixed payload of minimize_latency.
+    params_override pins one parameter set for the complexity/penalty law
+    instead of the per-blocklength provider.
     """
 
     budget: LatencyBudget
@@ -69,6 +69,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         validate_epsilon(self.epsilon)
+        if self.power_cap_db is not None and not self.power_cap_db > -math.inf:
+            raise ValueError(f"power_cap_db must be finite or +inf, got {self.power_cap_db}")
         lo, hi = self.n_range
         if lo > hi or lo < 2:
             raise ValueError(f"n_range must be a nonempty range with lo >= 2, got {self.n_range}")
@@ -139,6 +141,40 @@ def _decode_window(n: int, cfg: ScenarioConfig) -> float:
     return cfg.budget.deadline - n * cfg.budget.symbol_time
 
 
+def _deadline_cost(n: int, k: int, cfg: ScenarioConfig) -> tuple[float, float, float]:
+    """(c_allowed, delta_rho_db, total latency) when the deadline caps decoding.
+
+    The decoding window left after transmission allows c_allowed binary
+    operations per information bit; the law prices that as a power
+    penalty, inf when c_allowed <= 1.  A free decoder (binop_time 0) has
+    unlimited complexity, no penalty and latency n*T_s.
+    """
+    budget = cfg.budget
+    if budget.binop_time == 0:
+        return math.inf, 0.0, n * budget.symbol_time
+    c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
+    return c_allowed, complexity_to_penalty(c_allowed, cfg.law_params(n)), budget.deadline
+
+
+def _deadline_point(n: int, k: int, rate: float, cfg: ScenarioConfig) -> SweepPoint:
+    """Sweep row for k bits at the given rate when the deadline caps decoding."""
+    c_allowed, delta, latency = _deadline_cost(n, k, cfg)
+    if math.isinf(delta):
+        return SweepPoint(n=n, k=k, rate=rate, c=c_allowed, feasible=False)
+    req = required_snr(n, cfg.epsilon, rate, cfg.approx)
+    return SweepPoint(
+        n=n,
+        k=k,
+        rate=rate,
+        required_snr_db=req.db,
+        delta_rho_db=delta,
+        snr_db=req.db + delta,
+        c=c_allowed,
+        total_latency_s=latency,
+        feasible=True,
+    )
+
+
 def max_rate_curve(n: int, cfg: ScenarioConfig) -> ScenarioResult:
     """Deadline-constrained achievable rate across a rate grid at fixed n.
 
@@ -147,44 +183,16 @@ def max_rate_curve(n: int, cfg: ScenarioConfig) -> ScenarioResult:
     shifts right by the penalty.  The optimum is the highest feasible
     rate (respecting power_cap_db when set).
     """
-    budget = cfg.budget
     if not _decode_window(n, cfg) > 0:
         raise ValueError("deadline must exceed the transmission time n*T_s")
-    params = cfg.law_params(n)
     steps = int(math.ceil(1.0 / cfg.rate_step)) - 1
     rates = [i * cfg.rate_step for i in range(1, steps + 1) if i * cfg.rate_step < 1.0]
-    sweep = []
-    for rate in rates:
-        k = math.ceil(rate * n)
-        if budget.binop_time == 0:
-            c_allowed = math.inf
-            latency = n * budget.symbol_time
-        else:
-            c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
-            latency = budget.deadline
-        if c_allowed <= 1.0:
-            sweep.append(SweepPoint(n=n, k=k, rate=rate, c=c_allowed, feasible=False))
-            continue
-        delta = complexity_to_penalty(c_allowed, params)
-        req = required_snr(n, cfg.epsilon, rate, cfg.approx)
-        sweep.append(
-            SweepPoint(
-                n=n,
-                k=k,
-                rate=rate,
-                required_snr_db=req.db,
-                delta_rho_db=delta,
-                snr_db=req.db + delta,
-                c=c_allowed,
-                total_latency_s=latency,
-                feasible=True,
-            )
-        )
-    optimum = None
-    for pt in reversed(sweep):
-        if pt.feasible and (cfg.power_cap_db is None or pt.snr_db <= cfg.power_cap_db):
-            optimum = pt
-            break
+    sweep = [_deadline_point(n, math.ceil(rate * n), rate, cfg) for rate in rates]
+    optimum = next(
+        (pt for pt in reversed(sweep)
+         if pt.feasible and (cfg.power_cap_db is None or pt.snr_db <= cfg.power_cap_db)),
+        None,
+    )
     return ScenarioResult("max-rate", sweep, optimum, _config_echo(cfg, n=n))
 
 
@@ -192,14 +200,7 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
     rate = k / n
     if rate >= 1.0:
         return False
-    budget = cfg.budget
-    if budget.binop_time == 0:
-        delta = 0.0
-    else:
-        c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
-        if c_allowed <= 1.0:
-            return False
-        delta = complexity_to_penalty(c_allowed, cfg.law_params(n))
+    _, delta, _ = _deadline_cost(n, k, cfg)
     snr_left = cfg.power_cap_db - delta
     if math.isinf(snr_left):
         return False
@@ -216,14 +217,9 @@ def maximize_k(cfg: ScenarioConfig) -> ScenarioResult:
     """
     if cfg.power_cap_db is None or math.isinf(cfg.power_cap_db):
         raise ValueError("maximize_k needs a finite power_cap_db")
-    budget = cfg.budget
     sweep = []
     for n in cfg.blocklengths():
-        window = _decode_window(n, cfg)
-        if window < 0 or (window == 0 and budget.binop_time > 0):
-            sweep.append(SweepPoint(n=n, feasible=False))
-            continue
-        if not _max_k_feasible(n, 1, cfg):
+        if _decode_window(n, cfg) < 0 or not _max_k_feasible(n, 1, cfg):
             sweep.append(SweepPoint(n=n, feasible=False))
             continue
         lo, hi = 1, n
@@ -233,34 +229,8 @@ def maximize_k(cfg: ScenarioConfig) -> ScenarioResult:
                 lo = mid
             else:
                 hi = mid - 1
-        k = lo
-        rate = k / n
-        req = required_snr(n, cfg.epsilon, rate, cfg.approx)
-        if budget.binop_time == 0:
-            c_allowed = math.inf
-            delta = 0.0
-            latency = n * budget.symbol_time
-        else:
-            c_allowed = window / (k * budget.binop_time)
-            delta = complexity_to_penalty(c_allowed, cfg.law_params(n))
-            latency = budget.deadline
-        sweep.append(
-            SweepPoint(
-                n=n,
-                k=k,
-                rate=rate,
-                required_snr_db=req.db,
-                delta_rho_db=delta,
-                snr_db=req.db + delta,
-                c=c_allowed,
-                total_latency_s=latency,
-                feasible=True,
-            )
-        )
-    optimum = None
-    for pt in sweep:
-        if pt.feasible and (optimum is None or pt.k > optimum.k):
-            optimum = pt
+        sweep.append(_deadline_point(n, lo, lo / n, cfg))
+    optimum = max((pt for pt in sweep if pt.feasible), key=lambda pt: pt.k, default=None)
     return ScenarioResult("max-k", sweep, optimum, _config_echo(cfg))
 
 
@@ -283,12 +253,10 @@ def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
     for n in cfg.blocklengths():
         rate = k / n
         if unconstrained:
-            c_req = 1.0
-            latency = n * budget.symbol_time + k * c_req * budget.binop_time
             sweep.append(
                 SweepPoint(
-                    n=n, k=k, rate=rate, snr_db=cfg.power_cap_db,
-                    c=c_req, total_latency_s=latency, feasible=True,
+                    n=n, k=k, rate=rate, snr_db=cfg.power_cap_db, c=1.0,
+                    total_latency_s=total_latency(n, k, 1.0, budget), feasible=True,
                 )
             )
             continue
@@ -303,7 +271,6 @@ def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
             )
             continue
         c_req = max(penalty_to_complexity(avail, cfg.law_params(n)), 1.0)
-        latency = n * budget.symbol_time + k * c_req * budget.binop_time
         sweep.append(
             SweepPoint(
                 n=n,
@@ -313,14 +280,13 @@ def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
                 delta_rho_db=avail,
                 snr_db=cfg.power_cap_db,
                 c=c_req,
-                total_latency_s=latency,
+                total_latency_s=total_latency(n, k, c_req, budget),
                 feasible=True,
             )
         )
-    optimum = None
-    for pt in sweep:
-        if pt.feasible and (optimum is None or pt.total_latency_s < optimum.total_latency_s):
-            optimum = pt
+    optimum = min(
+        (pt for pt in sweep if pt.feasible), key=lambda pt: pt.total_latency_s, default=None
+    )
     return ScenarioResult("min-latency", sweep, optimum, _config_echo(cfg))
 
 
@@ -329,16 +295,11 @@ def csv_rows(result: ScenarioResult) -> list[tuple]:
     return [tuple(getattr(pt, col) for col in CSV_COLUMNS) for pt in result.sweep]
 
 
-def point_as_dict(pt: SweepPoint | None) -> dict | None:
-    if pt is None:
-        return None
-    return {col: getattr(pt, col) for col in CSV_COLUMNS}
-
-
 def summary_doc(result: ScenarioResult) -> dict:
     """Summary document with the optimum and the configuration echo."""
     return {
         "scenario": result.scenario,
         "config": result.config_echo,
-        "optimum": point_as_dict(result.optimum),
+        "optimum": None if result.optimum is None
+        else {col: getattr(result.optimum, col) for col in CSV_COLUMNS},
     }

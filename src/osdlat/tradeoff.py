@@ -225,9 +225,13 @@ def params_to_json(p: TradeoffParams) -> str:
 
 def params_from_json(doc: str) -> TradeoffParams:
     data = json.loads(doc)
-    extra = set(data) - {"n_anchor", "a", "b", "gamma_fit"}
-    if extra:
-        raise ValueError(f"unknown keys in parameter document: {sorted(extra)}")
+    if not isinstance(data, dict):
+        raise ValueError("parameter document must be a JSON object")
+    keys = {"n_anchor", "a", "b", "gamma_fit"}
+    if set(data) - keys:
+        raise ValueError(f"unknown keys in parameter document: {sorted(set(data) - keys)}")
+    if keys - set(data):
+        raise ValueError(f"missing keys in parameter document: {sorted(keys - set(data))}")
     return TradeoffParams(
         a=float(data["a"]),
         b=float(data["b"]),

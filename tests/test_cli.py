@@ -42,6 +42,18 @@ class TestRateCommand:
         proc = run_cli("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", check=False)
         assert proc.returncode == 3
 
+    def test_non_finite_range_is_domain_error(self):
+        proc = run_cli("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", check=False)
+        assert proc.returncode == 3
+        assert "finite" in proc.stderr
+
+    def test_oversized_range_is_domain_error(self):
+        proc = run_cli(
+            "rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", check=False
+        )
+        assert proc.returncode == 3
+        assert "rows" in proc.stderr
+
 
 class TestComplexityCommand:
     def test_table_and_sidecar(self, tmp_path):
@@ -88,6 +100,27 @@ class TestTradeoffCommand:
         c = float(proc.stdout.strip().splitlines()[1].split(",")[2])
         planted = TradeoffParams(a=0.05, b=0.03, gamma_fit=0.4, n_anchor=64)
         assert c == pytest.approx(penalty_to_complexity(2.0, planted), rel=1e-9)
+
+    def test_params_file_missing_key_is_domain_error(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text('{"n_anchor": 64, "a": 0.05, "gamma_fit": 0.4}')
+        proc = run_cli("tradeoff", "--params-file", str(params), check=False)
+        assert proc.returncode == 3
+        assert "missing keys" in proc.stderr and "'b'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("tradeoff", "--params-file"),
+            ("tradeoff", "--fit"),
+            ("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file"),
+        ],
+    )
+    def test_missing_input_file_is_usage_error(self, tmp_path, args):
+        proc = run_cli(*args, str(tmp_path / "absent"), check=False)
+        assert proc.returncode == 2
+        assert "cannot read" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSimulateCommand:
@@ -177,6 +210,15 @@ class TestScenarioCommand:
         proc = run_cli("scenario", "--which", "max-k", "--dm", "1e-3", check=False)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("cap", ["-inf", "nan"])
+    def test_non_finite_power_cap_is_domain_error(self, cap):
+        proc = run_cli(
+            "scenario", "--which", "min-latency", "--k", "64", f"--pm-db={cap}",
+            "--n-range", "64:80", check=False,
+        )
+        assert proc.returncode == 3
+        assert "power_cap_db" in proc.stderr
+
     def test_infeasible_scenario_is_valid_answer(self, tmp_path):
         out = tmp_path / "infeasible.csv"
         proc = run_cli(
@@ -209,3 +251,51 @@ class TestConfigFile:
         )
         assert proc.returncode == 2
         assert "bogus_flag" in proc.stderr
+
+    def test_string_value_is_type_converted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": "128"}')
+        base = ("rate", "--eps", "1e-3", "--snr-db-range", "0:2:1")
+        proc = run_cli(*base, "--n", "64", "--config", str(cfg))
+        assert proc.stdout == run_cli(*base, "--n", "128").stdout
+
+    def test_invalid_choice_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"which": "bogus"}')
+        proc = run_cli(
+            "scenario", "--which", "min-latency", "--k", "64", "--pm-db", "10",
+            "--config", str(cfg), check=False,
+        )
+        assert proc.returncode == 2
+        assert "bogus" in proc.stderr
+        assert all(name in proc.stderr for name in ("max-rate", "max-k", "min-latency"))
+
+    def test_negative_value_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pm_db": -30}')
+        out = tmp_path / "maxk.csv"
+        run_cli(
+            "scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5",
+            "--n-range", "2:50", "--out", str(out), "--config", str(cfg),
+        )
+        doc = json.loads((tmp_path / "maxk.csv.json").read_text())
+        assert doc["config"]["power_cap_db"] == -30.0
+        assert doc["optimum"] is None
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        proc = run_cli(
+            "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
+            "--config", str(tmp_path / "absent.json"), check=False,
+        )
+        assert proc.returncode == 2
+        assert "cannot read" in proc.stderr
+
+    def test_invalid_json_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        proc = run_cli(
+            "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
+            "--config", str(cfg), check=False,
+        )
+        assert proc.returncode == 2
+        assert "not valid JSON" in proc.stderr

@@ -212,6 +212,12 @@ class TestConfigAndSerialization:
         with pytest.raises(ValueError):
             ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, n_range=(2, 100), k_fixed=64)
 
+    @pytest.mark.parametrize("cap", [-math.inf, math.nan])
+    def test_power_cap_must_be_finite_or_plus_inf(self, cap):
+        with pytest.raises(ValueError, match="power_cap_db"):
+            ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=cap, k_fixed=64,
+                           n_range=(64, 100))
+
     def test_rate_grid_excludes_one(self):
         cfg = ScenarioConfig(
             budget=budget(1e-3), epsilon=1e-3, n_range=(2, 64), rate_step=0.25

@@ -1,29 +1,8 @@
-"""Dense GF(2) matrix helpers on numpy uint8 arrays."""
+"""Gauss-Jordan elimination over GF(2) on dense numpy uint8 arrays."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def rank(matrix: np.ndarray) -> int:
-    """GF(2) rank by forward elimination."""
-    m = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(m[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + pivots[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        below = np.nonzero(m[r + 1:, c])[0]
-        if below.size:
-            m[r + 1 + below] ^= m[r]
-        r += 1
-    return r
 
 
 def systematic_with_permutation(matrix: np.ndarray, col_order: np.ndarray):
@@ -33,7 +12,8 @@ def systematic_with_permutation(matrix: np.ndarray, col_order: np.ndarray):
     candidate pivot column is dependent on the pivots found so far it is
     swapped towards the back and the next preferred column is tried, so the
     identity block lands on the earliest independent columns of the
-    preference order.
+    preference order.  Columns after the one holding the last pivot keep
+    their place.
 
     Returns (systematic matrix, permutation) where permutation maps output
     column positions to input column indices.  Raises ValueError if the
@@ -67,14 +47,3 @@ def systematic_with_permutation(matrix: np.ndarray, col_order: np.ndarray):
         raise ValueError("matrix does not have full row rank over GF(2)")
     return m, perm
 
-
-def parity_check_matrix(generator: np.ndarray) -> np.ndarray:
-    """An (n-k) x n parity-check matrix for the row space of generator."""
-    g = np.asarray(generator, dtype=np.uint8) & 1
-    k, n = g.shape
-    sys, perm = systematic_with_permutation(g, np.arange(n))
-    p = sys[:, k:]
-    h_perm = np.concatenate([p.T, np.eye(n - k, dtype=np.uint8)], axis=1)
-    h = np.empty_like(h_perm)
-    h[:, perm] = h_perm
-    return h

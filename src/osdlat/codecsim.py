@@ -13,6 +13,8 @@ the batches.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +24,6 @@ import numpy as np
 
 from osdlat import _gf2
 from osdlat.fblmath import (
-    DEFAULT_APPROX,
-    NormalApproxConfig,
     Snr,
     required_snr,
     validate_epsilon,
@@ -179,9 +179,11 @@ def build_ebch(n: int, k: int) -> CodeSpec:
         for c in range(n_cyclic):
             rows[r, c] = (shifted >> c) & 1
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
-    if _gf2.rank(rows) != k:
-        raise ConstructionError(f"generator for (n={n}, k={k}) is rank deficient")
-    return CodeSpec(n=n, k=k, d_min=d_min, generator=rows, construction="ebch")
+    try:
+        recovery = _recovery_map(rows)
+    except ValueError:
+        raise ConstructionError(f"generator for (n={n}, k={k}) is rank deficient") from None
+    return CodeSpec(n=n, k=k, d_min=d_min, generator=rows, construction="ebch", _recovery=recovery)
 
 
 def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
@@ -192,22 +194,28 @@ def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
     return (msg.astype(np.int32) @ code.generator.astype(np.int32) % 2).astype(np.uint8)
 
 
-def _recovery_map(code: CodeSpec):
-    """Column set J and inverse of G[:, J], for codeword -> message."""
-    if code._recovery is None:
-        g = code.generator
-        _, perm = _gf2.systematic_with_permutation(g, np.arange(code.n))
-        j_cols = perm[: code.k]
-        a = g[:, j_cols]
-        aug = np.concatenate([a, np.eye(code.k, dtype=np.uint8)], axis=1)
-        sys, _ = _gf2.systematic_with_permutation(aug, np.arange(2 * code.k))
-        code._recovery = (j_cols, sys[:, code.k:])
-    return code._recovery
+def _recovery_map(generator: np.ndarray):
+    """Column set J and inverse of G[:, J], for codeword -> message.
+
+    One elimination of [G | I_k] in column order: the pivots land on the
+    first k independent columns J of G, and the identity block, which the
+    elimination never moves, ends up holding inv(G[:, J]).  A pivot inside
+    the identity block means G is rank deficient: ValueError.
+    """
+    k, n = generator.shape
+    aug = np.concatenate([generator, np.eye(k, dtype=np.uint8)], axis=1)
+    sys, perm = _gf2.systematic_with_permutation(aug, np.arange(n + k))
+    j_cols = perm[:k]
+    if j_cols.max() >= n:
+        raise ValueError("generator does not have full row rank over GF(2)")
+    return j_cols, sys[:, n:]
 
 
 def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
     """The unique message encoding to the given codeword."""
-    j_cols, inv = _recovery_map(code)
+    if code._recovery is None:
+        code._recovery = _recovery_map(code.generator)
+    j_cols, inv = code._recovery
     sub = codeword[j_cols].astype(np.int32)
     return (sub @ inv.astype(np.int32) % 2).astype(np.uint8)
 
@@ -297,15 +305,10 @@ def osd_decode(
 
     # re-encoding hard decisions under a pattern XORs the flipped rows of
     # the systematic generator onto the order-0 candidate
-    flipped = np.nonzero(hard[:k])[0]
-    base = np.bitwise_xor.reduce(gsys[flipped], axis=0) if flipped.size else np.zeros(n, np.uint8)
+    base = np.bitwise_xor.reduce(gsys[np.nonzero(hard[:k])[0]], axis=0)
     blocks = [base[None, :]]
     for positions in _pattern_positions(k, order):
-        if positions.shape[1] == 1:
-            shifts = gsys[positions[:, 0]]
-        else:
-            shifts = np.bitwise_xor.reduce(gsys[positions], axis=1)
-        blocks.append(base[None, :] ^ shifts)
+        blocks.append(base ^ np.bitwise_xor.reduce(gsys[positions], axis=1))
     candidates = np.concatenate(blocks, axis=0)
 
     # squared distance to y via the correlation identity
@@ -362,13 +365,28 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
     return errors, size, stats.patterns_evaluated
 
 
-def _batch_sizes(max_trials: int, batch_size: int):
-    start = 0
-    index = 0
-    while start < max_trials:
-        yield index, min(batch_size, max_trials - start)
-        start += batch_size
-        index += 1
+def _batch_results(code, order, snr, seed, max_trials, batch_size, workers):
+    """Results of batches 0, 1, ... covering max_trials trials, in order.
+
+    A pool keeps at most 2 * workers batches in flight; closing the
+    iterator cancels the ones not yet started.
+    """
+    run = functools.partial(_simulate_batch, code, order, snr, seed)
+    sizes = (min(batch_size, max_trials - start) for start in range(0, max_trials, batch_size))
+    if workers <= 1:
+        yield from map(run, itertools.count(), sizes)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = []
+        for index, size in enumerate(sizes):
+            pending.append(pool.submit(run, index, size))
+            if len(pending) >= 2 * workers:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def estimate_bler(
@@ -395,39 +413,15 @@ def estimate_bler(
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
 
-    errors = 0
-    trials = 0
-    patterns = 0
-
-    def consume(result) -> bool:
-        nonlocal errors, trials, patterns
-        batch_errors, batch_trials, batch_patterns = result
-        errors += batch_errors
-        trials += batch_trials
-        patterns += batch_patterns
-        return errors >= min_errors or trials >= max_trials
-
-    schedule = _batch_sizes(max_trials, batch_size)
-    if workers <= 1:
-        for index, size in schedule:
-            if consume(_simulate_batch(code, order, snr, seed, index, size)):
+    errors = trials = patterns = 0
+    batches = _batch_results(code, order, snr, seed, max_trials, batch_size, workers)
+    with contextlib.closing(batches):
+        for batch_errors, batch_trials, batch_patterns in batches:
+            errors += batch_errors
+            trials += batch_trials
+            patterns += batch_patterns
+            if errors >= min_errors:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = []
-            done = False
-            for index, size in schedule:
-                pending.append(pool.submit(_simulate_batch, code, order, snr, seed, index, size))
-                if len(pending) >= 2 * workers:
-                    if consume(pending.pop(0).result()):
-                        done = True
-                        break
-            if not done:
-                while pending:
-                    if consume(pending.pop(0).result()):
-                        break
-            for fut in pending:
-                fut.cancel()
 
     if stats is not None:
         stats.decodes += trials
@@ -483,7 +477,6 @@ def required_snr_sim(
     span_db: float = 15.0,
     ci_slack: float = 1.5,
     workers: int = 1,
-    approx: NormalApproxConfig = DEFAULT_APPROX,
     stats: OsdStats | None = None,
 ) -> SimulatedThreshold:
     """Sweep SNR upward on a grid until the BLER estimate reaches epsilon.
@@ -497,7 +490,7 @@ def required_snr_sim(
     if grid_db <= 0:
         raise ValueError(f"grid_db must be positive, got {grid_db}")
     if start_db is None:
-        start_db = required_snr(code.n, epsilon, code.k / code.n, approx).db - 1.0
+        start_db = required_snr(code.n, epsilon, code.k / code.n).db - 1.0
     sweep: list[SweepObservation] = []
     points = int(math.floor(span_db / grid_db)) + 1
     for j in range(points):

@@ -139,6 +139,17 @@ def biawgn_dispersion(snr: Snr, config: NormalApproxConfig = DEFAULT_APPROX) -> 
     return v
 
 
+def _rate(n: int, backoff: float, snr: Snr, config: NormalApproxConfig) -> float:
+    """normal_approx_rate with the backoff Qinv(eps) already computed."""
+    if n < 1:
+        raise ValueError(f"blocklength must be >= 1, got {n}")
+    c_nats, v = _info_density_stats(snr.linear, config.quadrature_nodes)
+    rate = (c_nats - math.sqrt(v / n) * backoff) * LOG2E
+    if not config.drop_o1n_term:
+        rate += 0.5 * math.log2(n) / n
+    return max(rate, 0.0)
+
+
 def normal_approx_rate(
     n: int,
     epsilon: float,
@@ -150,14 +161,7 @@ def normal_approx_rate(
     Returns max(0, C - sqrt(V/n) Qinv(eps) log2(e)); a clamped 0 marks the
     operating point infeasible at this SNR.
     """
-    if n < 1:
-        raise ValueError(f"blocklength must be >= 1, got {n}")
-    epsilon = validate_epsilon(epsilon)
-    c_nats, v = _info_density_stats(snr.linear, config.quadrature_nodes)
-    rate = (c_nats - math.sqrt(v / n) * q_inv(epsilon)) * LOG2E
-    if not config.drop_o1n_term:
-        rate += 0.5 * math.log2(n) / n
-    return max(rate, 0.0)
+    return _rate(n, q_inv(validate_epsilon(epsilon)), snr, config)
 
 
 def required_snr(
@@ -175,14 +179,15 @@ def required_snr(
     epsilon = validate_epsilon(epsilon)
     if rate >= 1.0:
         raise InfeasibleError("rate 1 is unreachable at finite SNR")
+    backoff = q_inv(epsilon)
     lo, hi = -60.0, 40.0
-    while normal_approx_rate(n, epsilon, Snr(hi), config) < rate:
+    while _rate(n, backoff, Snr(hi), config) < rate:
         hi += 20.0
         if hi > 400.0:
             raise InfeasibleError(f"no SNR below 400 dB reaches rate {rate}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if normal_approx_rate(n, epsilon, Snr(mid), config) >= rate:
+        if _rate(n, backoff, Snr(mid), config) >= rate:
             hi = mid
         else:
             lo = mid

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from osdlat.fblmath import (
     DEFAULT_APPROX,
-    NormalApproxConfig,
     Snr,
     normal_approx_rate,
     required_snr,
@@ -63,7 +62,6 @@ class ScenarioConfig:
     k_fixed: int | None = None
     n_step: int = 1
     rate_step: float = 0.05
-    approx: NormalApproxConfig = DEFAULT_APPROX
     params_extrapolation: str = "power"
     params_override: TradeoffParams | None = None
 
@@ -130,7 +128,7 @@ def _config_echo(cfg: ScenarioConfig, **extra) -> dict:
         "n_step": cfg.n_step,
         "k_fixed": cfg.k_fixed,
         "rate_step": cfg.rate_step,
-        "quadrature_nodes": cfg.approx.quadrature_nodes,
+        "quadrature_nodes": DEFAULT_APPROX.quadrature_nodes,
         "params_extrapolation": cfg.params_extrapolation,
     }
     echo.update(extra)
@@ -161,7 +159,7 @@ def _deadline_point(n: int, k: int, rate: float, cfg: ScenarioConfig) -> SweepPo
     c_allowed, delta, latency = _deadline_cost(n, k, cfg)
     if math.isinf(delta):
         return SweepPoint(n=n, k=k, rate=rate, c=c_allowed, feasible=False)
-    req = required_snr(n, cfg.epsilon, rate, cfg.approx)
+    req = required_snr(n, cfg.epsilon, rate)
     return SweepPoint(
         n=n,
         k=k,
@@ -204,7 +202,7 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
     snr_left = cfg.power_cap_db - delta
     if math.isinf(snr_left):
         return False
-    return normal_approx_rate(n, cfg.epsilon, Snr(snr_left), cfg.approx) >= rate
+    return normal_approx_rate(n, cfg.epsilon, Snr(snr_left)) >= rate
 
 
 def maximize_k(cfg: ScenarioConfig) -> ScenarioResult:
@@ -263,7 +261,7 @@ def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
         if rate >= 1.0:
             sweep.append(SweepPoint(n=n, k=k, rate=rate, feasible=False))
             continue
-        req = required_snr(n, cfg.epsilon, rate, cfg.approx)
+        req = required_snr(n, cfg.epsilon, rate)
         avail = cfg.power_cap_db - req.db
         if avail <= 0:
             sweep.append(

@@ -224,17 +224,26 @@ def params_to_json(p: TradeoffParams) -> str:
 
 
 def params_from_json(doc: str) -> TradeoffParams:
-    data = json.loads(doc)
+    """Law constants from a params_to_json or `tradeoff --fit` document.
+
+    Every constant must be a finite JSON number and n_anchor a whole one;
+    the rms_residual key that `tradeoff --fit` adds is accepted and ignored.
+    """
+    # integers parse as floats too, so an over-long one reads as inf
+    data = json.loads(doc, parse_int=float)
     if not isinstance(data, dict):
         raise ValueError("parameter document must be a JSON object")
     keys = {"n_anchor", "a", "b", "gamma_fit"}
-    if set(data) - keys:
-        raise ValueError(f"unknown keys in parameter document: {sorted(set(data) - keys)}")
+    unknown = set(data) - keys - {"rms_residual"}
+    if unknown:
+        raise ValueError(f"unknown keys in parameter document: {sorted(unknown)}")
     if keys - set(data):
         raise ValueError(f"missing keys in parameter document: {sorted(keys - set(data))}")
+    for key in sorted(keys):
+        if not (isinstance(data[key], float) and math.isfinite(data[key])):
+            raise ValueError(f"parameter {key!r} must be a finite number, got {json.dumps(data[key])}")
+    if not data["n_anchor"].is_integer():
+        raise ValueError(f"parameter 'n_anchor' must be a whole number, got {data['n_anchor']}")
     return TradeoffParams(
-        a=float(data["a"]),
-        b=float(data["b"]),
-        gamma_fit=float(data["gamma_fit"]),
-        n_anchor=int(data["n_anchor"]),
+        a=data["a"], b=data["b"], gamma_fit=data["gamma_fit"], n_anchor=int(data["n_anchor"])
     )

@@ -101,6 +101,18 @@ class TestTradeoffCommand:
         planted = TradeoffParams(a=0.05, b=0.03, gamma_fit=0.4, n_anchor=64)
         assert c == pytest.approx(penalty_to_complexity(2.0, planted), rel=1e-9)
 
+    def test_fit_output_feeds_params_file(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("delta_rho_db,c\n0.5,4096\n1.0,900\n2.0,210\n4.0,60\n6.0,25\n")
+        fit = tmp_path / "fit.json"
+        run_cli("tradeoff", "--fit", str(points), "--n-anchor", "64", "--out", str(fit))
+        doc = json.loads(fit.read_text())
+        assert "rms_residual" in doc
+        proc = run_cli("tradeoff", "--params-file", str(fit), "--delta-rho-range", "2:2:1")
+        c = float(proc.stdout.strip().splitlines()[1].split(",")[2])
+        doc.pop("rms_residual")
+        assert c == pytest.approx(penalty_to_complexity(2.0, TradeoffParams(**doc)), rel=1e-9)
+
     def test_params_file_missing_key_is_domain_error(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text('{"n_anchor": 64, "a": 0.05, "gamma_fit": 0.4}')

@@ -6,6 +6,7 @@ import pytest
 
 from osdlat import _gf2
 from osdlat.codecsim import (
+    CodeSpec,
     ConstructionError,
     OsdStats,
     build_ebch,
@@ -35,7 +36,8 @@ class TestConstruction:
         code = build_ebch(n, k)
         assert code.d_min == d_min
         assert code.generator.shape == (k, n)
-        assert _gf2.rank(code.generator) == k
+        sys, _ = _gf2.systematic_with_permutation(code.generator, np.arange(n))
+        assert np.array_equal(sys[:, :k], np.eye(k, dtype=np.uint8))
         assert code.construction == "ebch"
 
     def test_overall_parity_column(self, code6436):
@@ -89,6 +91,13 @@ class TestEncode:
         for _ in range(30):
             msg = rng.integers(0, 2, 64, dtype=np.uint8)
             assert np.array_equal(message_from_codeword(code12864, encode(code12864, msg)), msg)
+
+    def test_rank_deficient_generator_has_no_recovery(self, code84):
+        g = code84.generator.copy()
+        g[3] = g[0]
+        code = CodeSpec(n=8, k=4, d_min=0, generator=g)
+        with pytest.raises(ValueError):
+            message_from_codeword(code, encode(code, np.array([1, 0, 0, 1], dtype=np.uint8)))
 
 
 class TestTransmit:
@@ -159,13 +168,11 @@ class TestOsdDecode:
             assert d2 <= d1 + 1e-12
 
     def test_output_is_codeword(self, code6436):
-        h = _gf2.parity_check_matrix(code6436.generator)
         rng = np.random.default_rng(7)
         for _ in range(100):
             msg = rng.integers(0, 2, 36, dtype=np.uint8)
             rx = transmit(code6436, encode(code6436, msg), Snr(-2.0), rng)
             msg_hat, cw_hat = osd_decode(code6436, rx, 1)
-            assert not (h.astype(np.int32) @ cw_hat.astype(np.int32) % 2).any()
             assert np.array_equal(encode(code6436, msg_hat), cw_hat)
 
     def test_pattern_counter_matches_closed_form(self, code3216):
@@ -203,6 +210,14 @@ class TestEstimateBler:
         a = estimate_bler(code84, 1, Snr(3.0), min_errors=60, max_trials=20000, seed=14, workers=1)
         b = estimate_bler(code84, 1, Snr(3.0), min_errors=60, max_trials=20000, seed=14, workers=2)
         assert a == b
+
+    def test_partial_last_batch_counted(self, code84):
+        # 1300 = 512 + 512 + 276 trials; min_errors is never reached
+        kwargs = dict(min_errors=10**6, max_trials=1300, seed=17)
+        serial = estimate_bler(code84, 1, Snr(3.0), workers=1, **kwargs)
+        pooled = estimate_bler(code84, 1, Snr(3.0), workers=2, **kwargs)
+        assert serial.trials == pooled.trials == 1300
+        assert serial == pooled
 
     def test_zero_errors_flagged_as_upper_bound(self, code84):
         est = estimate_bler(code84, 4, Snr(50.0), min_errors=10, max_trials=2000, seed=15)

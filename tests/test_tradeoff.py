@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -191,6 +192,25 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             params_from_json('{"n_anchor": 64, "a": 0.05, "b": 0.03, "gamma_fit": 0.4, "x": 1}')
+
+    def test_fit_document_accepted(self):
+        doc = json.dumps({**json.loads(params_to_json(PARAMS_64)), "rms_residual": 0.01})
+        assert params_from_json(doc) == PARAMS_64
+
+    @pytest.mark.parametrize(
+        "value",
+        ["null", "true", "false", "[0.05]", '{"v": 0.05}', '"0.05"', "NaN", "Infinity", "1" + "0" * 400],
+    )
+    def test_non_numeric_value_rejected(self, value):
+        doc = f'{{"n_anchor": 64, "a": {value}, "b": 0.03, "gamma_fit": 0.4}}'
+        with pytest.raises(ValueError, match="'a'"):
+            params_from_json(doc)
+
+    def test_fractional_anchor_rejected(self):
+        doc = '{{"n_anchor": {}, "a": 0.05, "b": 0.03, "gamma_fit": 0.4}}'
+        assert params_from_json(doc.format("64.0")).n_anchor == 64
+        with pytest.raises(ValueError, match="'n_anchor'"):
+            params_from_json(doc.format("64.5"))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

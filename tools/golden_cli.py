@@ -20,7 +20,8 @@ unified diff of each stream that changed, and exits 1 when any differ.
 The set covers every sub-command, epsilon from 1e-1 to 1e-9, binary
 operation times 0, 0.1 ns and 1 ns, all three scenarios, infinite power
 caps of either sign, both law extrapolations, a coarse --n-step, small
-seeded simulations and usage/domain errors.
+seeded simulations, a `tradeoff --fit` document read back through
+--params-file, and usage/domain errors.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ INPUT_FILES = {
     "params.json": '{"n_anchor": 64, "a": 0.05, "b": 0.03, "gamma_fit": 0.4}\n',
     "points.csv": "delta_rho_db,c\n0.5,4096\n1.0,900\n2.0,210\n4.0,60\n6.0,25\n",
     "cfg.json": '{"n": 1000, "snr_db_range": "5:5:1"}\n',
+    "params_null.json": '{"n_anchor": 64, "a": null, "b": 0.03, "gamma_fit": 0.4}\n',
+    "params_bool.json": '{"n_anchor": 64, "a": true, "b": 0.03, "gamma_fit": 0.4}\n',
 }
 
 
@@ -60,6 +63,11 @@ def command_set() -> list[tuple[str, ...]]:
         cmds.append(("tradeoff", "--n", n, "--extrapolation", "clamp"))
     cmds.append(("tradeoff", "--params-file", "{tmp}/params.json", "--delta-rho-range", "0:6:1"))
     cmds.append(("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64"))
+    # a fitted document read back, then documents with non-numeric constants
+    cmds.append(("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64", "--out", "{tmp}/fit.json"))
+    cmds.append(("tradeoff", "--params-file", "{tmp}/fit.json", "--delta-rho-range", "0:6:1"))
+    cmds.append(("tradeoff", "--params-file", "{tmp}/params_null.json"))
+    cmds.append(("tradeoff", "--params-file", "{tmp}/params_bool.json"))
 
     sim = ("simulate", "--code", "8x4")
     cmds.append(sim + ("--order", "2", "--snr-db", "5", "--seed", "3", "--min-errors", "10", "--max-trials", "2000"))

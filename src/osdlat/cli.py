@@ -22,7 +22,7 @@ from pathlib import Path
 
 from osdlat import codecsim, ioutil, scenarios, tradeoff
 from osdlat.fblmath import (
-    NormalApproxConfig,
+    QUADRATURE_NODES,
     Snr,
     biawgn_capacity,
     biawgn_dispersion,
@@ -65,7 +65,23 @@ def _parse_int_pair(spec: str) -> tuple[int, int]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected lo:hi, got {spec!r}")
-    return int(parts[0]), int(parts[1])
+    lo, hi = int(parts[0]), int(parts[1])
+    if hi < lo:
+        raise ValueError(f"expected lo <= hi, got {spec!r}")
+    return lo, hi
+
+
+def _n_range(args, lo: int, default_hi: float) -> tuple[int, int]:
+    """The --n-range pair, else (lo, default_hi); at most MAX_RANGE_ROWS rows."""
+    if args.n_range:
+        lo, hi = _parse_int_pair(args.n_range)
+    elif math.isfinite(default_hi):
+        hi = int(default_hi)
+    else:
+        raise ValueError("the deadline gives no finite blocklength bound; pass --n-range lo:hi")
+    if (hi - lo) // max(args.n_step, 1) >= MAX_RANGE_ROWS:
+        raise ValueError(f"blocklength sweep has over {MAX_RANGE_ROWS} rows; narrow --n-range")
+    return lo, hi
 
 
 def _parse_code(spec: str) -> codecsim.CodeSpec:
@@ -101,16 +117,15 @@ def _emit(args, csv_text: str, sidecar: dict | None) -> None:
 
 
 def cmd_rate(args) -> int:
-    config = NormalApproxConfig(quadrature_nodes=args.nodes)
     rows = []
     for snr_db in _parse_range(args.snr_db_range):
         snr = Snr(snr_db)
         rows.append(
             (
                 snr_db,
-                biawgn_capacity(snr, config),
-                biawgn_dispersion(snr, config),
-                normal_approx_rate(args.n, args.eps, snr, config),
+                biawgn_capacity(snr, args.nodes),
+                biawgn_dispersion(snr, args.nodes),
+                normal_approx_rate(args.n, args.eps, snr, args.nodes),
             )
         )
     _emit(args, ioutil.csv_text(("snr_db", "capacity", "dispersion", "rate"), rows), None)
@@ -172,42 +187,26 @@ def cmd_simulate(args) -> int:
     code = _parse_code(args.code)
     if args.snr_db is None and args.eps is None:
         raise ValueError("simulate needs --snr-db or --eps")
-    workers = _workers()
+    run = {
+        "min_errors": args.min_errors,
+        "max_trials": args.max_trials,
+        "seed": args.seed,
+        "workers": _workers(),
+    }
     sidecar = {
         "code": args.code,
         "n": code.n,
         "k": code.k,
         "d_min": code.d_min,
         "order": args.order,
-        "seed": args.seed,
-        "min_errors": args.min_errors,
-        "max_trials": args.max_trials,
-        "workers": workers,
+        **run,
     }
     if args.snr_db is not None:
-        est = codecsim.estimate_bler(
-            code,
-            args.order,
-            Snr(args.snr_db),
-            min_errors=args.min_errors,
-            max_trials=args.max_trials,
-            seed=args.seed,
-            workers=workers,
-        )
-        rows = [(args.snr_db, args.order, est.trials, est.errors, est.bler, est.ci95_halfwidth)]
-        sidecar.update({"snr_db": args.snr_db, "bler_upper_bound": est.upper_bound})
+        sweep = [codecsim.estimate_bler(code, args.order, Snr(args.snr_db), **run)]
+        sidecar.update({"snr_db": args.snr_db, "bler_upper_bound": sweep[0].upper_bound})
     else:
-        thr = codecsim.required_snr_sim(
-            code,
-            args.order,
-            args.eps,
-            grid_db=args.grid_db,
-            min_errors=args.min_errors,
-            max_trials=args.max_trials,
-            seed=args.seed,
-            workers=workers,
-        )
-        rows = codecsim.sweep_csv_rows(thr.sweep)
+        thr = codecsim.required_snr_sim(code, args.order, args.eps, grid_db=args.grid_db, **run)
+        sweep = thr.sweep
         sidecar.update(
             {
                 "eps": args.eps,
@@ -216,6 +215,7 @@ def cmd_simulate(args) -> int:
                 "reached": thr.reached,
             }
         )
+    rows = codecsim.sweep_csv_rows(sweep)
     _emit(args, ioutil.csv_text(codecsim.SWEEP_CSV_COLUMNS, rows), sidecar)
     return 0
 
@@ -240,16 +240,12 @@ def cmd_scenario(args) -> int:
     elif args.which == "max-k":
         if args.pm_db is None:
             raise ValueError("max-k needs --pm-db")
-        n_range = _parse_int_pair(args.n_range) if args.n_range else (
-            2,
-            int(args.dm / args.ts),
-        )
-        cfg = scenarios.ScenarioConfig(n_range=n_range, **common)
+        cfg = scenarios.ScenarioConfig(n_range=_n_range(args, 2, args.dm / args.ts), **common)
         result = scenarios.maximize_k(cfg)
     else:
         if args.k is None or args.pm_db is None:
             raise ValueError("min-latency needs --k and --pm-db")
-        n_range = _parse_int_pair(args.n_range) if args.n_range else (args.k, 1000)
+        n_range = _n_range(args, args.k, 1000)
         cfg = scenarios.ScenarioConfig(n_range=n_range, k_fixed=args.k, **common)
         result = scenarios.minimize_latency(cfg)
     _emit(
@@ -276,7 +272,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     rate.add_argument("--n", type=int, required=True)
     rate.add_argument("--eps", type=float, required=True)
     rate.add_argument("--snr-db-range", required=True, help="start:stop:step in dB")
-    rate.add_argument("--nodes", type=int, default=128)
+    rate.add_argument("--nodes", type=int, default=QUADRATURE_NODES)
     common(rate)
     rate.set_defaults(func=cmd_rate)
     registry["rate"] = rate

@@ -1,8 +1,8 @@
 """Monte Carlo ground truth: eBCH codes, BPSK/AWGN transmission, OSD.
 
-Codes are extended BCH: the cyclic BCH(n-1, k) generator polynomial is
-built from minimal polynomials over GF(2^m) and every codeword gets an
-overall parity bit, so n is a power of two.  The decoder is order-s
+Codes are extended BCH: the cyclic BCH(n-1, k) generator polynomial has
+a union of cyclotomic cosets of GF(2^m) as its roots and every codeword
+gets an overall parity bit, so n is a power of two.  The decoder is order-s
 ordered-statistics decoding on the most-reliable basis, scoring every
 error pattern of weight <= s by Euclidean distance to the received
 vector.  BLER estimation runs seeded, batched trials; batches own
@@ -30,6 +30,10 @@ from osdlat.fblmath import (
 )
 
 SWEEP_CSV_COLUMNS = ("snr_db", "s", "trials", "errors", "bler", "ci95")
+# Trials per batch; batch b draws its RNG from (seed, b), so this is part of the stream.
+BATCH_SIZE = 512
+# A sweep point is accepted when bler + ci95 <= CI_SLACK * epsilon.
+CI_SLACK = 1.5
 
 
 class ConstructionError(ValueError):
@@ -65,65 +69,24 @@ def _gf_tables(m: int):
     return exp, log
 
 
-def _cyclotomic_coset(i: int, n_field: int) -> list[int]:
-    coset = []
-    j = i % n_field
-    while j not in coset:
-        coset.append(j)
-        j = (2 * j) % n_field
-    return sorted(coset)
+def _generator_poly(roots, exp, log) -> list[int]:
+    """Coefficients, lowest degree first, of the product of (x - alpha^j) over the roots.
 
-
-def _minimal_polynomial_mask(i: int, m: int, exp, log) -> int:
-    """Minimal polynomial of alpha^i over GF(2), as a coefficient bitmask."""
-    n_field = (1 << m) - 1
-
-    def gf_mul(a, b):
-        if a == 0 or b == 0:
-            return 0
-        return exp[(log[a] + log[b]) % n_field]
-
+    The roots must be a union of cyclotomic cosets, so that the product is
+    the product of their minimal polynomials and every coefficient is 0 or 1.
+    """
+    n_field = len(exp)
     coeffs = [1]
-    for j in _cyclotomic_coset(i, n_field):
-        root = exp[j]
+    for j in roots:
         nxt = [0] * (len(coeffs) + 1)
         for d, cf in enumerate(coeffs):
             if cf:
                 nxt[d + 1] ^= cf
-                nxt[d] ^= gf_mul(cf, root)
+                nxt[d] ^= exp[(log[cf] + j) % n_field]
         coeffs = nxt
-    mask = 0
-    for d, cf in enumerate(coeffs):
-        if cf not in (0, 1):
-            raise ConstructionError("minimal polynomial has non-binary coefficient")
-        mask |= cf << d
-    return mask
-
-
-def _gf2_poly_mul(a: int, b: int) -> int:
-    r = 0
-    shift = 0
-    while b:
-        if b & 1:
-            r ^= a << shift
-        b >>= 1
-        shift += 1
-    return r
-
-
-def _design_distance(gen_mask: int, m: int, exp, log) -> int:
-    """1 + length of the consecutive root run alpha^1, alpha^2, ..."""
-    n_field = (1 << m) - 1
-    degrees = [d for d in range(gen_mask.bit_length()) if (gen_mask >> d) & 1]
-    run = 0
-    for power in range(1, n_field):
-        acc = 0
-        for d in degrees:
-            acc ^= exp[(power * d) % n_field]
-        if acc != 0:
-            break
-        run += 1
-    return run + 1
+    if any(cf > 1 for cf in coeffs):
+        raise ConstructionError("generator polynomial has non-binary coefficient")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +109,12 @@ class CodeSpec:
 def build_ebch(n: int, k: int) -> CodeSpec:
     """Extended BCH code: cyclic BCH(n-1, k) plus an overall parity column.
 
-    The generator polynomial accumulates minimal polynomials of the odd
-    powers of alpha until its degree reaches (n-1) - k; parameters that
-    the construction cannot hit exactly raise ConstructionError.  The
-    minimum distance is the design distance of the cyclic code plus one
-    for the extension.
+    The roots of the generator polynomial are the cyclotomic cosets of the
+    odd powers of alpha, collected until there are (n-1) - k of them;
+    parameters that the construction cannot hit exactly raise
+    ConstructionError.  The minimum distance is the design distance of the
+    cyclic code (the first power of alpha that is not a root) plus one for
+    the extension.
     """
     m = n.bit_length() - 1
     if n != 1 << m or m not in _PRIMITIVE_POLY:
@@ -159,25 +123,22 @@ def build_ebch(n: int, k: int) -> CodeSpec:
     target = n_cyclic - k
     if not 0 < target < n_cyclic:
         raise ConstructionError(f"dimension k={k} is out of range for n={n}")
-    exp, log = _gf_tables(m)
-    gen = 1
-    covered: set[int] = set()
+    roots: set[int] = set()
     i = 1
-    while gen.bit_length() - 1 < target and i < n_cyclic:
-        if i not in covered:
-            coset = _cyclotomic_coset(i, n_cyclic)
-            covered.update(coset)
-            gen = _gf2_poly_mul(gen, _minimal_polynomial_mask(i, m, exp, log))
+    while len(roots) < target and i < n_cyclic:
+        j = i  # the cyclotomic coset of i: i, 2i, 4i, ... mod n-1
+        while j not in roots:
+            roots.add(j)
+            j = 2 * j % n_cyclic
         i += 2
-    if gen.bit_length() - 1 != target:
+    if len(roots) != target:
         raise ConstructionError(f"no eBCH generator of degree {target} for (n={n}, k={k})")
 
-    d_min = _design_distance(gen, m, exp, log) + 1
+    gen = _generator_poly(sorted(roots), *_gf_tables(m))
+    d_min = next(j for j in itertools.count(1) if j not in roots) + 1
     rows = np.zeros((k, n), dtype=np.uint8)
     for r in range(k):
-        shifted = gen << r
-        for c in range(n_cyclic):
-            rows[r, c] = (shifted >> c) & 1
+        rows[r, r : r + target + 1] = gen
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
     try:
         recovery = _recovery_map(rows)
@@ -337,18 +298,23 @@ def decode_distance(rx: ReceivedWord, codeword: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlerEstimate:
-    """Block-error-rate estimate with a 95% confidence halfwidth.
+    """Block-error-rate estimate at one SNR and order, with a 95% halfwidth.
 
     upper_bound marks runs that saw no errors; their bler is 0 and ci95
     carries the rule-of-three upper bound.
     """
 
+    snr_db: float
+    order: int
     errors: int
     trials: int
     bler: float
     ci95_halfwidth: float
     seed: int
-    upper_bound: bool
+
+    @property
+    def upper_bound(self) -> bool:
+        return self.errors == 0
 
 
 def _simulate_batch(code, order, snr, seed, batch_index, size):
@@ -365,14 +331,14 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
     return errors, size, stats.patterns_evaluated
 
 
-def _batch_results(code, order, snr, seed, max_trials, batch_size, workers):
+def _batch_results(code, order, snr, seed, max_trials, workers):
     """Results of batches 0, 1, ... covering max_trials trials, in order.
 
     A pool keeps at most 2 * workers batches in flight; closing the
     iterator cancels the ones not yet started.
     """
     run = functools.partial(_simulate_batch, code, order, snr, seed)
-    sizes = (min(batch_size, max_trials - start) for start in range(0, max_trials, batch_size))
+    sizes = (min(BATCH_SIZE, max_trials - start) for start in range(0, max_trials, BATCH_SIZE))
     if workers <= 1:
         yield from map(run, itertools.count(), sizes)
         return
@@ -396,7 +362,6 @@ def estimate_bler(
     min_errors: int = 100,
     max_trials: int = 10**6,
     seed: int = 0,
-    batch_size: int = 512,
     workers: int = 1,
     stats: OsdStats | None = None,
 ) -> BlerEstimate:
@@ -414,7 +379,7 @@ def estimate_bler(
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
 
     errors = trials = patterns = 0
-    batches = _batch_results(code, order, snr, seed, max_trials, batch_size, workers)
+    batches = _batch_results(code, order, snr, seed, max_trials, workers)
     with contextlib.closing(batches):
         for batch_errors, batch_trials, batch_patterns in batches:
             errors += batch_errors
@@ -432,12 +397,13 @@ def estimate_bler(
     else:
         ci = 3.0 / trials
     return BlerEstimate(
+        snr_db=snr.db,
+        order=order,
         errors=errors,
         trials=trials,
         bler=bler,
         ci95_halfwidth=ci,
         seed=seed,
-        upper_bound=errors == 0,
     )
 
 
@@ -447,22 +413,12 @@ def estimate_bler(
 
 
 @dataclass(frozen=True)
-class SweepObservation:
-    snr_db: float
-    order: int
-    trials: int
-    errors: int
-    bler: float
-    ci95: float
-
-
-@dataclass(frozen=True)
 class SimulatedThreshold:
     """First sweep point meeting the reliability target, plus the sweep."""
 
     snr_db: float
     reached: bool
-    sweep: list[SweepObservation]
+    sweep: list[BlerEstimate]
 
 
 def required_snr_sim(
@@ -475,14 +431,13 @@ def required_snr_sim(
     seed: int = 0,
     start_db: float | None = None,
     span_db: float = 15.0,
-    ci_slack: float = 1.5,
     workers: int = 1,
     stats: OsdStats | None = None,
 ) -> SimulatedThreshold:
     """Sweep SNR upward on a grid until the BLER estimate reaches epsilon.
 
     A grid point is accepted when its estimate is at or below epsilon and
-    the 95% upper confidence end does not exceed ci_slack * epsilon.  The
+    the 95% upper confidence end does not exceed CI_SLACK * epsilon.  The
     sweep starts 1 dB below the normal-approximation SNR unless start_db
     is given, and gives up (reached=False) after span_db.
     """
@@ -491,7 +446,7 @@ def required_snr_sim(
         raise ValueError(f"grid_db must be positive, got {grid_db}")
     if start_db is None:
         start_db = required_snr(code.n, epsilon, code.k / code.n).db - 1.0
-    sweep: list[SweepObservation] = []
+    sweep: list[BlerEstimate] = []
     points = int(math.floor(span_db / grid_db)) + 1
     for j in range(points):
         snr_db = start_db + j * grid_db
@@ -506,23 +461,15 @@ def required_snr_sim(
             workers=workers,
             stats=stats,
         )
-        sweep.append(
-            SweepObservation(
-                snr_db=snr_db,
-                order=order,
-                trials=est.trials,
-                errors=est.errors,
-                bler=est.bler,
-                ci95=est.ci95_halfwidth,
-            )
-        )
-        if est.bler <= epsilon and est.bler + est.ci95_halfwidth <= ci_slack * epsilon:
+        sweep.append(est)
+        if est.bler <= epsilon and est.bler + est.ci95_halfwidth <= CI_SLACK * epsilon:
             return SimulatedThreshold(snr_db=snr_db, reached=True, sweep=sweep)
     return SimulatedThreshold(snr_db=math.nan, reached=False, sweep=sweep)
 
 
-def sweep_csv_rows(sweep: list[SweepObservation]) -> list[tuple]:
+def sweep_csv_rows(sweep: list[BlerEstimate]) -> list[tuple]:
+    """Rows under SWEEP_CSV_COLUMNS, one per estimate."""
     return [
-        (obs.snr_db, obs.order, obs.trials, obs.errors, obs.bler, obs.ci95)
-        for obs in sweep
+        (est.snr_db, est.order, est.trials, est.errors, est.bler, est.ci95_halfwidth)
+        for est in sweep
     ]

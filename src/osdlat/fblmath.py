@@ -18,6 +18,8 @@ import numpy as np
 from scipy import special
 
 LOG2E = math.log2(math.e)
+# Gauss-Hermite nodes for the capacity and dispersion integrals.
+QUADRATURE_NODES = 128
 
 
 class InfeasibleError(ValueError):
@@ -43,27 +45,6 @@ class Snr:
         if not rho > 0:
             raise ValueError(f"linear SNR must be positive, got {rho}")
         return cls(10.0 * math.log10(rho))
-
-
-@dataclass(frozen=True)
-class NormalApproxConfig:
-    """Numerical settings for the second-order rate approximation.
-
-    quadrature_nodes: Gauss-Hermite node count for the capacity and
-        dispersion integrals.
-    drop_o1n_term: drop the O(1/n) refinement (default); when False the
-        +log2(n)/(2n) term is included.
-    """
-
-    quadrature_nodes: int = 128
-    drop_o1n_term: bool = True
-
-    def __post_init__(self):
-        if self.quadrature_nodes < 32:
-            raise ValueError("quadrature_nodes must be at least 32")
-
-
-DEFAULT_APPROX = NormalApproxConfig()
 
 
 def validate_epsilon(epsilon: float) -> float:
@@ -103,6 +84,8 @@ def q_inv(p: float) -> float:
 
 @lru_cache(maxsize=64)
 def _hermgauss(nodes: int):
+    if nodes < 32:
+        raise ValueError("quadrature_nodes must be at least 32")
     x, w = special.roots_hermite(nodes)
     return x, w
 
@@ -127,26 +110,24 @@ def _info_density_stats(rho: float, nodes: int) -> tuple[float, float]:
     return c_nats, v_nats2
 
 
-def biawgn_capacity(snr: Snr, config: NormalApproxConfig = DEFAULT_APPROX) -> float:
+def biawgn_capacity(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """BI-AWGN channel capacity in bits per channel use."""
-    c_nats, _ = _info_density_stats(snr.linear, config.quadrature_nodes)
+    c_nats, _ = _info_density_stats(snr.linear, nodes)
     return c_nats * LOG2E
 
 
-def biawgn_dispersion(snr: Snr, config: NormalApproxConfig = DEFAULT_APPROX) -> float:
+def biawgn_dispersion(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """BI-AWGN channel dispersion in nats^2 per channel use."""
-    _, v = _info_density_stats(snr.linear, config.quadrature_nodes)
+    _, v = _info_density_stats(snr.linear, nodes)
     return v
 
 
-def _rate(n: int, backoff: float, snr: Snr, config: NormalApproxConfig) -> float:
+def _rate(n: int, backoff: float, snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """normal_approx_rate with the backoff Qinv(eps) already computed."""
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    c_nats, v = _info_density_stats(snr.linear, config.quadrature_nodes)
+    c_nats, v = _info_density_stats(snr.linear, nodes)
     rate = (c_nats - math.sqrt(v / n) * backoff) * LOG2E
-    if not config.drop_o1n_term:
-        rate += 0.5 * math.log2(n) / n
     return max(rate, 0.0)
 
 
@@ -154,21 +135,20 @@ def normal_approx_rate(
     n: int,
     epsilon: float,
     snr: Snr,
-    config: NormalApproxConfig = DEFAULT_APPROX,
+    nodes: int = QUADRATURE_NODES,
 ) -> float:
     """Second-order achievable rate at blocklength n, clamped below at 0.
 
-    Returns max(0, C - sqrt(V/n) Qinv(eps) log2(e)); a clamped 0 marks the
-    operating point infeasible at this SNR.
+    Returns max(0, C - sqrt(V/n) Qinv(eps) log2(e)), without the O(1/n)
+    term; a clamped 0 marks the operating point infeasible at this SNR.
     """
-    return _rate(n, q_inv(validate_epsilon(epsilon)), snr, config)
+    return _rate(n, q_inv(validate_epsilon(epsilon)), snr, nodes)
 
 
 def required_snr(
     n: int,
     epsilon: float,
     rate: float,
-    config: NormalApproxConfig = DEFAULT_APPROX,
 ) -> Snr:
     """Smallest SNR whose normal-approximation rate reaches the target.
 
@@ -181,13 +161,13 @@ def required_snr(
         raise InfeasibleError("rate 1 is unreachable at finite SNR")
     backoff = q_inv(epsilon)
     lo, hi = -60.0, 40.0
-    while _rate(n, backoff, Snr(hi), config) < rate:
+    while _rate(n, backoff, Snr(hi)) < rate:
         hi += 20.0
         if hi > 400.0:
             raise InfeasibleError(f"no SNR below 400 dB reaches rate {rate}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _rate(n, backoff, Snr(mid), config) >= rate:
+        if _rate(n, backoff, Snr(mid)) >= rate:
             hi = mid
         else:
             lo = mid
@@ -199,10 +179,9 @@ def power_penalty(
     n: int,
     epsilon: float,
     rate: float,
-    config: NormalApproxConfig = DEFAULT_APPROX,
 ) -> float:
     """Excess of the operating SNR over the normal-approximation SNR, in dB."""
-    needed = required_snr(n, epsilon, rate, config)
+    needed = required_snr(n, epsilon, rate)
     delta = operating.db - needed.db
     if delta < -1e-9:
         raise ValueError(

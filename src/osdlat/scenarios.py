@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from osdlat.fblmath import (
-    DEFAULT_APPROX,
+    QUADRATURE_NODES,
     Snr,
     normal_approx_rate,
     required_snr,
@@ -128,7 +128,7 @@ def _config_echo(cfg: ScenarioConfig, **extra) -> dict:
         "n_step": cfg.n_step,
         "k_fixed": cfg.k_fixed,
         "rate_step": cfg.rate_step,
-        "quadrature_nodes": DEFAULT_APPROX.quadrature_nodes,
+        "quadrature_nodes": QUADRATURE_NODES,
         "params_extrapolation": cfg.params_extrapolation,
     }
     echo.update(extra)

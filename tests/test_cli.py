@@ -69,6 +69,12 @@ class TestComplexityCommand:
         assert sidecar["s_star"] == 1
         assert sidecar["s_approx"] == pytest.approx(0.96, abs=0.01)
 
+    def test_reversed_orders_is_domain_error(self):
+        proc = run_cli("complexity", "--n", "128", "--k", "64", "--orders", "3:1", check=False)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "3:1" in proc.stderr
+
 
 class TestTradeoffCommand:
     def test_eval_table(self):
@@ -230,6 +236,30 @@ class TestScenarioCommand:
         )
         assert proc.returncode == 3
         assert "power_cap_db" in proc.stderr
+
+    def test_reversed_n_range_is_domain_error(self):
+        proc = run_cli(
+            "scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5",
+            "--n-range", "50:2", check=False,
+        )
+        assert proc.returncode == 3
+        assert "50:2" in proc.stderr
+
+    @pytest.mark.parametrize("args", [(), ("--dm", "1e-3", "--ts", "1e-300")])
+    def test_max_k_without_finite_range_is_domain_error(self, args):
+        proc = run_cli("scenario", "--which", "max-k", "--pm-db", "5", *args, check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--n-range" in proc.stderr
+
+    def test_oversized_n_range_is_domain_error(self):
+        # just over MAX_RANGE_ROWS: a sweep built before the check would be slow, not huge
+        proc = run_cli(
+            "scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5",
+            "--n-range", "2:200002", check=False,
+        )
+        assert proc.returncode == 3
+        assert "rows" in proc.stderr
 
     def test_infeasible_scenario_is_valid_answer(self, tmp_path):
         out = tmp_path / "infeasible.csv"

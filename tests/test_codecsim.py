@@ -6,6 +6,7 @@ import pytest
 
 from osdlat import _gf2
 from osdlat.codecsim import (
+    BlerEstimate,
     CodeSpec,
     ConstructionError,
     OsdStats,
@@ -81,10 +82,14 @@ class TestEncode:
             if msg.any():
                 assert encode(code6436, msg).sum() >= code6436.d_min
 
-    def test_exhaustive_weights_small_code(self, code84):
-        words = all_codewords(code84)
+    @pytest.mark.parametrize(
+        "n,k,weight", [(8, 4, 4), (16, 5, 8), (16, 7, 6), (16, 11, 4), (32, 11, 12), (32, 16, 8)]
+    )
+    def test_exhaustive_weights_small_code(self, n, k, weight):
+        code = build_ebch(n, k)
+        words = all_codewords(code)
         nonzero = words[words.sum(axis=1) > 0]
-        assert nonzero.sum(axis=1).min() == code84.d_min
+        assert nonzero.sum(axis=1).min() == weight == code.d_min
 
     def test_message_recovery_round_trip(self, code12864):
         rng = np.random.default_rng(2)
@@ -264,6 +269,13 @@ class TestRequiredSnrSim:
         assert thr.sweep[-1].bler <= 2e-2
         rows = sweep_csv_rows(thr.sweep)
         assert len(rows) == len(thr.sweep) and len(rows[0]) == 6
+
+    def test_sweep_ends_at_threshold_estimate(self, code84):
+        thr = required_snr_sim(code84, 2, 2e-2, min_errors=80, seed=2, start_db=2.0)
+        last = thr.sweep[-1]
+        assert isinstance(last, BlerEstimate)
+        assert last.snr_db == thr.snr_db
+        assert last.order == 2
 
     def test_required_snr_non_increasing_in_order(self, code84):
         thr0 = required_snr_sim(code84, 0, 2e-2, min_errors=80, seed=6)

@@ -5,9 +5,8 @@ import pytest
 from scipy import integrate
 
 from osdlat.fblmath import (
-    DEFAULT_APPROX,
+    QUADRATURE_NODES,
     InfeasibleError,
-    NormalApproxConfig,
     Snr,
     biawgn_capacity,
     biawgn_dispersion,
@@ -144,7 +143,7 @@ class TestCapacityDispersion:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            NormalApproxConfig(quadrature_nodes=16)
+            biawgn_capacity(Snr(0.0), nodes=16)
 
 
 class TestNormalApproxRate:
@@ -186,12 +185,6 @@ class TestNormalApproxRate:
         rate = normal_approx_rate(1000, 1e-3, Snr(5.0))
         assert rate == pytest.approx(0.803, abs=5e-4)
         assert math.floor(1000 * rate) == 803
-
-    def test_o1n_term_toggle(self):
-        cfg = NormalApproxConfig(drop_o1n_term=False)
-        base = normal_approx_rate(128, 1e-3, Snr(3.0))
-        refined = normal_approx_rate(128, 1e-3, Snr(3.0), cfg)
-        assert refined == pytest.approx(base + 0.5 * math.log2(128) / 128, abs=1e-12)
 
 
 class TestRequiredSnr:
@@ -236,5 +229,9 @@ class TestPowerPenalty:
 
 
 def test_default_config_drops_o1n_term():
-    assert DEFAULT_APPROX.drop_o1n_term
-    assert DEFAULT_APPROX.quadrature_nodes >= 64
+    snr = Snr(3.0)
+    backoff = math.sqrt(biawgn_dispersion(snr) / 128) * q_inv(1e-3) * math.log2(math.e)
+    assert normal_approx_rate(128, 1e-3, snr) == pytest.approx(
+        biawgn_capacity(snr) - backoff, abs=1e-12
+    )
+    assert QUADRATURE_NODES >= 64

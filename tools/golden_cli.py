@@ -21,7 +21,8 @@ The set covers every sub-command, epsilon from 1e-1 to 1e-9, binary
 operation times 0, 0.1 ns and 1 ns, all three scenarios, infinite power
 caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
---params-file, and usage/domain errors.
+--params-file, and usage/domain errors (a reversed lo:hi pair, max-k
+without a finite blocklength range among them).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(("rate", "--n", "1000", "--eps", "1e-3", "--snr-db-range", "5:5:1", "--nodes", "64"))
 
     cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "0:3"))
+    cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "3:1"))
     for tb in BINOP_TIMES:
         cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb))
 
@@ -92,6 +94,9 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-30", "--n-range", "2:50"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "inf"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-inf"))
+    # max-k without --n-range: an infinite deadline, and one bounding a 1e297-row sweep
+    cmds.append(scn + ("max-k", "--pm-db", "5"))
+    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--ts", "1e-300"))
     cmds.append(scn + ("min-latency", "--k", "64", "--pm-db=-inf", "--n-range", "64:80"))
     cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "5", "--extrapolation", "clamp",
                        "--params-file", "{tmp}/params.json"))

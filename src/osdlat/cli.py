@@ -42,7 +42,13 @@ MAX_RANGE_ROWS = 100_000
 
 
 def _workers() -> int:
-    return max(int(os.environ.get(WORKERS_ENV, "1")), 1)
+    """Process-pool size from OSDLAT_WORKERS, clamped to 1..os.cpu_count()."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be a whole number, got {text!r}") from None
+    return min(max(workers, 1), os.cpu_count() or 1)
 
 
 def _parse_range(spec: str) -> list[float]:
@@ -71,17 +77,28 @@ def _parse_int_pair(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _n_range(args, lo: int, default_hi: float) -> tuple[int, int]:
-    """The --n-range pair, else (lo, default_hi); at most MAX_RANGE_ROWS rows."""
+def _blocklengths(args, lo: int, hi: float, source: str) -> list[int]:
+    """Blocklengths lo..hi in steps of --n-step, with hi always included.
+
+    --n-range replaces the default pair lo:hi, which the flags named in
+    source set.
+    """
+    if args.n_step < 1:
+        raise ValueError(f"--n-step must be >= 1, got {args.n_step}")
     if args.n_range:
-        lo, hi = _parse_int_pair(args.n_range)
-    elif math.isfinite(default_hi):
-        hi = int(default_hi)
-    else:
+        try:
+            lo, hi = _parse_int_pair(args.n_range)
+        except ValueError as exc:
+            raise ValueError(f"--n-range: {exc}") from None
+        source = "--n-range"
+    elif not math.isfinite(hi):
         raise ValueError("the deadline gives no finite blocklength bound; pass --n-range lo:hi")
-    if (hi - lo) // max(args.n_step, 1) >= MAX_RANGE_ROWS:
+    hi = int(hi)
+    if not 2 <= lo <= hi:
+        raise ValueError(f"blocklength range {lo}:{hi} from {source} needs 2 <= lo <= hi")
+    if -((lo - hi) // args.n_step) >= MAX_RANGE_ROWS:
         raise ValueError(f"blocklength sweep has over {MAX_RANGE_ROWS} rows; narrow --n-range")
-    return lo, hi
+    return list(range(lo, hi, args.n_step)) + [hi]
 
 
 def _parse_code(spec: str) -> codecsim.CodeSpec:
@@ -221,37 +238,50 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    budget = LatencyBudget(deadline=args.dm, symbol_time=args.ts, binop_time=args.tb)
-    override = _law_params(args)
-    common = dict(
-        budget=budget,
+    cfg = scenarios.ScenarioConfig(
+        budget=LatencyBudget(deadline=args.dm, symbol_time=args.ts, binop_time=args.tb),
         epsilon=args.eps,
         power_cap_db=args.pm_db,
-        rate_step=args.rate_step,
-        n_step=args.n_step,
         params_extrapolation=args.extrapolation,
-        params_override=override,
+        params_override=_law_params(args),
     )
+    echo = {
+        "deadline_s": args.dm,
+        "symbol_time_s": args.ts,
+        "binop_time_s": args.tb,
+        "epsilon": args.eps,
+        "power_cap_db": args.pm_db,
+        "n_step": args.n_step,
+        "k_fixed": args.k,
+        "rate_step": args.rate_step,
+        "quadrature_nodes": QUADRATURE_NODES,
+        "params_extrapolation": args.extrapolation,
+    }
+    # each scenario rejects the optional (default None) flags it does not read
     if args.which == "max-rate":
-        if args.n is None:
-            raise ValueError("max-rate needs --n")
-        cfg = scenarios.ScenarioConfig(n_range=(2, max(args.n, 2)), **common)
-        result = scenarios.max_rate_curve(args.n, cfg)
+        if args.n is None or args.n_range is not None or args.k is not None:
+            raise ValueError("max-rate needs --n and reads neither --n-range nor --k")
+        result = scenarios.max_rate_curve(args.n, cfg, args.rate_step)
+        echo["n"] = args.n
     elif args.which == "max-k":
-        if args.pm_db is None:
-            raise ValueError("max-k needs --pm-db")
-        cfg = scenarios.ScenarioConfig(n_range=_n_range(args, 2, args.dm / args.ts), **common)
-        result = scenarios.maximize_k(cfg)
+        if args.pm_db is None or args.n is not None or args.k is not None:
+            raise ValueError("max-k needs --pm-db and reads neither --n nor --k")
+        ns = _blocklengths(args, 2, args.dm / args.ts, "--dm/--ts")
+        result = scenarios.maximize_k(cfg, ns)
     else:
-        if args.k is None or args.pm_db is None:
-            raise ValueError("min-latency needs --k and --pm-db")
-        n_range = _n_range(args, args.k, 1000)
-        cfg = scenarios.ScenarioConfig(n_range=n_range, k_fixed=args.k, **common)
-        result = scenarios.minimize_latency(cfg)
+        if args.k is None or args.pm_db is None or args.n is not None:
+            raise ValueError("min-latency needs --k and --pm-db and does not read --n")
+        ns = _blocklengths(args, args.k, 1000, "--k")
+        if not 1 <= args.k <= ns[0]:
+            raise ValueError(f"min-latency needs 1 <= --k <= the --n-range start, got "
+                             f"--k {args.k} and --n-range {args.n_range}")
+        result = scenarios.minimize_latency(cfg, args.k, ns)
+    if args.which != "max-rate":
+        echo["n_range"] = [ns[0], ns[-1]]
     _emit(
         args,
         ioutil.csv_text(scenarios.CSV_COLUMNS, scenarios.csv_rows(result)),
-        scenarios.summary_doc(result),
+        scenarios.summary_doc(result, echo),
     )
     return 0
 

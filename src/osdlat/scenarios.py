@@ -14,10 +14,10 @@ complexity/penalty law:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from osdlat.fblmath import (
-    QUADRATURE_NODES,
     Snr,
     normal_approx_rate,
     required_snr,
@@ -46,22 +46,21 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Shared inputs of the scenario sweeps.
+    """Inputs every scenario sweep reads.
 
-    power_cap_db is the transmit-power budget P_m (required by maximize_k
-    and minimize_latency; may be +inf in minimize_latency, never -inf or
-    nan).  k_fixed is the fixed payload of minimize_latency.
-    params_override pins one parameter set for the complexity/penalty law
-    instead of the per-blocklength provider.
+    budget holds the deadline, symbol time and binary-operation time.
+    power_cap_db is the transmit-power budget P_m: maximize_k needs it
+    finite, minimize_latency needs it and allows +inf, max_rate_curve
+    uses it only to pick its optimum; never -inf or nan.
+    params_extrapolation picks the law's per-blocklength provider, and
+    params_override pins one parameter set for every blocklength instead.
+    What only one sweep reads (its blocklengths, payload or rate grid) is
+    an argument of that sweep.
     """
 
     budget: LatencyBudget
     epsilon: float
     power_cap_db: float | None = None
-    n_range: tuple[int, int] = (2, 1000)
-    k_fixed: int | None = None
-    n_step: int = 1
-    rate_step: float = 0.05
     params_extrapolation: str = "power"
     params_override: TradeoffParams | None = None
 
@@ -69,29 +68,11 @@ class ScenarioConfig:
         validate_epsilon(self.epsilon)
         if self.power_cap_db is not None and not self.power_cap_db > -math.inf:
             raise ValueError(f"power_cap_db must be finite or +inf, got {self.power_cap_db}")
-        lo, hi = self.n_range
-        if lo > hi or lo < 2:
-            raise ValueError(f"n_range must be a nonempty range with lo >= 2, got {self.n_range}")
-        if self.n_step < 1:
-            raise ValueError(f"n_step must be >= 1, got {self.n_step}")
-        if not 0.0 < self.rate_step < 1.0:
-            raise ValueError(f"rate_step must be in (0, 1), got {self.rate_step}")
-        if self.k_fixed is not None and lo < self.k_fixed:
-            raise ValueError(
-                f"n_range must start at k_fixed={self.k_fixed}, got lo={lo}"
-            )
 
     def law_params(self, n: int) -> TradeoffParams:
         if self.params_override is not None:
             return self.params_override
         return params_for_blocklength(n, self.params_extrapolation)
-
-    def blocklengths(self) -> list[int]:
-        lo, hi = self.n_range
-        ns = list(range(lo, hi + 1, self.n_step))
-        if ns[-1] != hi:
-            ns.append(hi)
-        return ns
 
 
 @dataclass(frozen=True)
@@ -114,25 +95,6 @@ class ScenarioResult:
     scenario: str
     sweep: list[SweepPoint]
     optimum: SweepPoint | None
-    config_echo: dict = field(default_factory=dict)
-
-
-def _config_echo(cfg: ScenarioConfig, **extra) -> dict:
-    echo = {
-        "deadline_s": cfg.budget.deadline,
-        "symbol_time_s": cfg.budget.symbol_time,
-        "binop_time_s": cfg.budget.binop_time,
-        "epsilon": cfg.epsilon,
-        "power_cap_db": cfg.power_cap_db,
-        "n_range": list(cfg.n_range),
-        "n_step": cfg.n_step,
-        "k_fixed": cfg.k_fixed,
-        "rate_step": cfg.rate_step,
-        "quadrature_nodes": QUADRATURE_NODES,
-        "params_extrapolation": cfg.params_extrapolation,
-    }
-    echo.update(extra)
-    return echo
 
 
 def _decode_window(n: int, cfg: ScenarioConfig) -> float:
@@ -173,25 +135,30 @@ def _deadline_point(n: int, k: int, rate: float, cfg: ScenarioConfig) -> SweepPo
     )
 
 
-def max_rate_curve(n: int, cfg: ScenarioConfig) -> ScenarioResult:
+def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> ScenarioResult:
     """Deadline-constrained achievable rate across a rate grid at fixed n.
 
-    For every rate the deadline fixes the per-bit complexity allowance,
-    the law turns that into a power penalty, and the achievability point
-    shifts right by the penalty.  The optimum is the highest feasible
-    rate (respecting power_cap_db when set).
+    The grid holds the multiples of rate_step below 1.  For every rate
+    the deadline fixes the per-bit complexity allowance, the law turns
+    that into a power penalty, and the achievability point shifts right
+    by the penalty.  The optimum is the highest feasible rate
+    (respecting power_cap_db when set).
     """
+    if n < 2:
+        raise ValueError(f"max-rate needs a blocklength --n >= 2, got {n}")
+    if not 0.0 < rate_step < 1.0:
+        raise ValueError(f"rate_step must be in (0, 1), got {rate_step}")
     if not _decode_window(n, cfg) > 0:
         raise ValueError("deadline must exceed the transmission time n*T_s")
-    steps = int(math.ceil(1.0 / cfg.rate_step)) - 1
-    rates = [i * cfg.rate_step for i in range(1, steps + 1) if i * cfg.rate_step < 1.0]
+    steps = int(math.ceil(1.0 / rate_step)) - 1
+    rates = [i * rate_step for i in range(1, steps + 1) if i * rate_step < 1.0]
     sweep = [_deadline_point(n, math.ceil(rate * n), rate, cfg) for rate in rates]
     optimum = next(
         (pt for pt in reversed(sweep)
          if pt.feasible and (cfg.power_cap_db is None or pt.snr_db <= cfg.power_cap_db)),
         None,
     )
-    return ScenarioResult("max-rate", sweep, optimum, _config_echo(cfg, n=n))
+    return ScenarioResult("max-rate", sweep, optimum)
 
 
 def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
@@ -205,18 +172,18 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
     return normal_approx_rate(n, cfg.epsilon, Snr(snr_left)) >= rate
 
 
-def maximize_k(cfg: ScenarioConfig) -> ScenarioResult:
+def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
     """Most information bits per codeword under deadline and power cap.
 
-    For each blocklength, binary-searches the largest k whose required
-    SNR plus the law's penalty for the deadline-allowed complexity stays
-    within power_cap_db (feasibility is monotone in k).  The optimum is
-    the blocklength maximizing k.
+    For each blocklength in ns, binary-searches the largest k whose
+    required SNR plus the law's penalty for the deadline-allowed
+    complexity stays within power_cap_db (feasibility is monotone in k).
+    The optimum is the blocklength maximizing k.
     """
     if cfg.power_cap_db is None or math.isinf(cfg.power_cap_db):
         raise ValueError("maximize_k needs a finite power_cap_db")
     sweep = []
-    for n in cfg.blocklengths():
+    for n in ns:
         if _decode_window(n, cfg) < 0 or not _max_k_feasible(n, 1, cfg):
             sweep.append(SweepPoint(n=n, feasible=False))
             continue
@@ -229,26 +196,26 @@ def maximize_k(cfg: ScenarioConfig) -> ScenarioResult:
                 hi = mid - 1
         sweep.append(_deadline_point(n, lo, lo / n, cfg))
     optimum = max((pt for pt in sweep if pt.feasible), key=lambda pt: pt.k, default=None)
-    return ScenarioResult("max-k", sweep, optimum, _config_echo(cfg))
+    return ScenarioResult("max-k", sweep, optimum)
 
 
-def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
-    """Shortest total latency carrying k_fixed bits under a power cap.
+def minimize_latency(cfg: ScenarioConfig, k: int, ns: Sequence[int]) -> ScenarioResult:
+    """Shortest total latency carrying k bits under a power cap.
 
-    For each blocklength the spare power above the required SNR buys a
-    decoder complexity through the law; total latency is transmission
-    plus the implied decoding time.  An infinite power cap drives the
-    complexity to the law's floor of 1 and the optimum to n = k.
+    For each blocklength in ns (none below k) the spare power above the
+    required SNR buys a decoder complexity through the law; total latency
+    is transmission plus the implied decoding time.  An infinite power cap
+    drives the complexity to the law's floor of 1 and the optimum to n = k.
     """
-    if cfg.k_fixed is None:
-        raise ValueError("minimize_latency needs k_fixed")
     if cfg.power_cap_db is None:
         raise ValueError("minimize_latency needs power_cap_db (may be inf)")
-    k = cfg.k_fixed
+    # the infinite-cap branch never checks the rate, so n < k would pass as feasible
+    if k < 1 or min(ns, default=k) < k:
+        raise ValueError(f"minimize_latency needs 1 <= k <= n for every blocklength, got k={k}")
     budget = cfg.budget
     unconstrained = math.isinf(cfg.power_cap_db)
     sweep = []
-    for n in cfg.blocklengths():
+    for n in ns:
         rate = k / n
         if unconstrained:
             sweep.append(
@@ -285,7 +252,7 @@ def minimize_latency(cfg: ScenarioConfig) -> ScenarioResult:
     optimum = min(
         (pt for pt in sweep if pt.feasible), key=lambda pt: pt.total_latency_s, default=None
     )
-    return ScenarioResult("min-latency", sweep, optimum, _config_echo(cfg))
+    return ScenarioResult("min-latency", sweep, optimum)
 
 
 def csv_rows(result: ScenarioResult) -> list[tuple]:
@@ -293,11 +260,11 @@ def csv_rows(result: ScenarioResult) -> list[tuple]:
     return [tuple(getattr(pt, col) for col in CSV_COLUMNS) for pt in result.sweep]
 
 
-def summary_doc(result: ScenarioResult) -> dict:
-    """Summary document with the optimum and the configuration echo."""
+def summary_doc(result: ScenarioResult, config: dict) -> dict:
+    """Summary document with the optimum and the caller's configuration echo."""
     return {
         "scenario": result.scenario,
-        "config": result.config_echo,
+        "config": config,
         "optimum": None if result.optimum is None
         else {col: getattr(result.optimum, col) for col in CSV_COLUMNS},
     }

@@ -111,9 +111,8 @@ def _max_k_result(tb: float):
         budget=LatencyBudget(deadline=1e-3, symbol_time=TS, binop_time=tb),
         epsilon=EPS,
         power_cap_db=5.0,
-        n_range=(2, 1000),
     )
-    return maximize_k(cfg).optimum
+    return maximize_k(cfg, range(2, 1001)).optimum
 
 
 def test_criterion_04_payload_maximization_infinite_compute():
@@ -161,10 +160,8 @@ def test_criterion_06_latency_minimization():
             budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=1e-9),
             epsilon=EPS,
             power_cap_db=pm,
-            n_range=(64, 1000),
-            k_fixed=64,
         )
-        opt = minimize_latency(cfg).optimum
+        opt = minimize_latency(cfg, 64, range(64, 1001)).optimum
         got[pm] = opt.n
         if abs(opt.n - n_ref) > 0.15 * n_ref:
             failures.append(f"Pm={pm}: n_opt={opt.n} vs {n_ref}")
@@ -172,10 +169,8 @@ def test_criterion_06_latency_minimization():
         budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=1e-9),
         epsilon=EPS,
         power_cap_db=math.inf,
-        n_range=(64, 200),
-        k_fixed=64,
     )
-    if minimize_latency(cfg_inf).optimum.n != 64:
+    if minimize_latency(cfg_inf, 64, range(64, 201)).optimum.n != 64:
         failures.append("infinite power cap did not give n_opt = k")
     elapsed = time.perf_counter() - t0
     report(

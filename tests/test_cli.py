@@ -1,9 +1,17 @@
+import argparse
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from osdlat import cli
 from osdlat.fblmath import required_snr
 from osdlat.tradeoff import TradeoffParams, penalty_to_complexity
 
@@ -261,6 +269,61 @@ class TestScenarioCommand:
         assert proc.returncode == 3
         assert "rows" in proc.stderr
 
+    def test_n_range_must_start_at_k(self):
+        proc = run_cli(
+            "scenario", "--which", "min-latency", "--k", "64", "--pm-db", "5",
+            "--n-range", "2:100", check=False,
+        )
+        assert proc.returncode == 3
+        assert "--n-range" in proc.stderr
+        assert "--k" in proc.stderr
+
+    @pytest.mark.parametrize("n", ["-5", "0", "1"])
+    @pytest.mark.parametrize("tb", ["0", "1e-9"])
+    def test_max_rate_blocklength_below_two_is_domain_error(self, n, tb):
+        proc = run_cli(
+            "scenario", "--which", "max-rate", f"--n={n}", "--dm", "1e-3", "--tb", tb, check=False,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--n " in proc.stderr
+
+    @pytest.mark.parametrize(
+        ("which", "args", "message"),
+        [
+            ("max-rate", ("--n", "128", "--n-range", "5:1"), "reads neither --n-range nor --k"),
+            ("max-rate", ("--n", "128", "--k", "64"), "reads neither --n-range nor --k"),
+            ("max-k", ("--pm-db", "5", "--n-range", "100:104", "--n", "128"), "reads neither --n nor --k"),
+            ("max-k", ("--pm-db", "5", "--n-range", "100:104", "--k", "50"), "reads neither --n nor --k"),
+            ("min-latency", ("--k", "64", "--pm-db", "5", "--n", "128"), "does not read --n\n"),
+        ],
+    )
+    def test_unread_flag_is_domain_error(self, which, args, message):
+        proc = run_cli("scenario", "--which", which, "--dm", "1e-3", *args, check=False)
+        assert proc.returncode == 3
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        ("args", "flag"),
+        [
+            (("max-k", "--dm", "1e-3", "--ts", "1e-2"), "--dm/--ts"),
+            (("min-latency", "--k", "2000"), "--k"),
+            (("min-latency", "--k", "0"), "--k"),
+        ],
+    )
+    def test_empty_default_range_names_its_flag(self, args, flag):
+        proc = run_cli("scenario", "--which", *args, "--pm-db", "5", check=False)
+        assert proc.returncode == 3
+        assert flag in proc.stderr
+        assert "n_range" not in proc.stderr
+
+    def test_max_rate_sidecar_has_no_n_range(self, tmp_path):
+        out = tmp_path / "rate.csv"
+        run_cli("scenario", "--which", "max-rate", "--n", "64", "--dm", "1e-3", "--out", str(out))
+        config = json.loads((tmp_path / "rate.csv.json").read_text())["config"]
+        assert "n_range" not in config
+        assert config["n"] == 64
+
     def test_infeasible_scenario_is_valid_answer(self, tmp_path):
         out = tmp_path / "infeasible.csv"
         proc = run_cli(
@@ -341,3 +404,78 @@ class TestConfigFile:
         )
         assert proc.returncode == 2
         assert "not valid JSON" in proc.stderr
+
+
+def _sweep_args(lo, hi, step):
+    return argparse.Namespace(n_range=f"{lo}:{hi}", n_step=step)
+
+
+class TestBlocklengths:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 200), st.integers(1, 30), st.integers(1, 40))
+    def test_grid_from_lo_to_hi(self, lo, span, step, max_rows):
+        hi = lo + span
+        rows = -(-span // step) + 1
+        with mock.patch.object(cli, "MAX_RANGE_ROWS", max_rows):
+            if rows > max_rows:
+                with pytest.raises(ValueError, match="rows"):
+                    cli._blocklengths(_sweep_args(lo, hi, step), 2, 1000, "--dm/--ts")
+                return
+            ns = cli._blocklengths(_sweep_args(lo, hi, step), 2, 1000, "--dm/--ts")
+        assert len(ns) == rows <= max_rows
+        assert ns[0] == lo and ns[-1] == hi
+        gaps = [b - a for a, b in zip(ns, ns[1:])]
+        assert all(gap == step for gap in gaps[:-1])
+        assert all(0 < gap <= step for gap in gaps[-1:])
+
+    def test_default_pair_without_n_range(self):
+        args = argparse.Namespace(n_range=None, n_step=3)
+        assert cli._blocklengths(args, 64, 72.5, "--k") == [64, 67, 70, 72]
+
+    @pytest.mark.parametrize("spec", ["1:50", "50:2", "a:b"])
+    def test_bad_n_range_names_the_flag(self, spec):
+        args = argparse.Namespace(n_range=spec, n_step=1)
+        with pytest.raises(ValueError, match="--n-range"):
+            cli._blocklengths(args, 2, 1000, "--dm/--ts")
+
+    def test_n_step_below_one_names_the_flag(self):
+        with pytest.raises(ValueError, match="--n-step"):
+            cli._blocklengths(_sweep_args(2, 10, 0), 2, 1000, "--dm/--ts")
+
+
+class TestWorkersVariable:
+    """cli._workers is read only; no test here starts a process pool."""
+
+    def test_unset_means_one(self, monkeypatch):
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        assert cli._workers() == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_at_least_one(self, monkeypatch, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        assert cli._workers() == 1
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "100000")
+        assert cli._workers() == os.cpu_count()
+
+    def test_non_integer_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        with pytest.raises(ValueError, match=cli.WORKERS_ENV):
+            cli._workers()
+
+
+def _golden_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
+    spec = importlib.util.spec_from_file_location("golden_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_command_set_has_no_traceback(monkeypatch):
+    # golden_cli stores an uncaught exception as exit code 1
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    results = _golden_tool().run_commands()
+    crashed = [(" ".join(r["argv"]), r["stderr"]) for r in results if r["rc"] == 1]
+    assert not crashed

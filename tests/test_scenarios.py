@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osdlat.fblmath import Snr, normal_approx_rate, required_snr
 from osdlat.oscomplexity import LatencyBudget
@@ -26,7 +28,7 @@ def budget(dm, tb=TB):
 
 class TestMaxRateCurve:
     def test_quarter_millisecond_anchor(self):
-        cfg = ScenarioConfig(budget=budget(0.25e-3), epsilon=1e-3, n_range=(2, 128))
+        cfg = ScenarioConfig(budget=budget(0.25e-3), epsilon=1e-3)
         result = max_rate_curve(128, cfg)
         half = next(pt for pt in result.sweep if pt.rate == pytest.approx(0.5))
         assert half.c == pytest.approx(1906.25, rel=1e-12)
@@ -34,7 +36,7 @@ class TestMaxRateCurve:
         assert half.snr_db == pytest.approx(half.required_snr_db + half.delta_rho_db)
 
     def test_unconstrained_deadline_matches_normal_approx(self):
-        cfg = ScenarioConfig(budget=budget(1e9), epsilon=1e-3, n_range=(2, 128))
+        cfg = ScenarioConfig(budget=budget(1e9), epsilon=1e-3)
         result = max_rate_curve(128, cfg)
         for pt in result.sweep:
             assert pt.feasible
@@ -46,7 +48,7 @@ class TestMaxRateCurve:
     def test_tighter_deadline_needs_more_power(self):
         curves = {
             dm: max_rate_curve(
-                128, ScenarioConfig(budget=budget(dm), epsilon=1e-3, n_range=(2, 128))
+                128, ScenarioConfig(budget=budget(dm), epsilon=1e-3)
             )
             for dm in (10e-3, 1e-3, 0.25e-3)
         }
@@ -56,7 +58,7 @@ class TestMaxRateCurve:
                     assert hi_pt.snr_db >= lo_pt.snr_db - 1e-12
 
     def test_never_below_normal_approximation(self):
-        cfg = ScenarioConfig(budget=budget(0.5e-3), epsilon=1e-3, n_range=(2, 128))
+        cfg = ScenarioConfig(budget=budget(0.5e-3), epsilon=1e-3)
         result = max_rate_curve(128, cfg)
         for pt in result.sweep:
             if pt.feasible:
@@ -64,12 +66,12 @@ class TestMaxRateCurve:
 
     def test_infeasible_rates_marked(self):
         # with a deadline barely above n*Ts, high rates cannot decode in time
-        cfg = ScenarioConfig(budget=budget(128e-6 + 5e-8), epsilon=1e-3, n_range=(2, 128))
+        cfg = ScenarioConfig(budget=budget(128e-6 + 5e-8), epsilon=1e-3)
         result = max_rate_curve(128, cfg)
         assert any(not pt.feasible for pt in result.sweep)
 
     def test_deadline_shorter_than_transmission_rejected(self):
-        cfg = ScenarioConfig(budget=budget(100e-6), epsilon=1e-3, n_range=(2, 128))
+        cfg = ScenarioConfig(budget=budget(100e-6), epsilon=1e-3)
         with pytest.raises(ValueError):
             max_rate_curve(128, cfg)
 
@@ -80,26 +82,24 @@ class TestMaximizeK:
             budget=budget(1e-3, tb=0.0),
             epsilon=1e-3,
             power_cap_db=5.0,
-            n_range=(900, 1000),
-            n_step=10,
         )
-        result = maximize_k(cfg)
+        result = maximize_k(cfg, range(900, 1001, 10))
         assert result.optimum.n == 1000
         assert result.optimum.k == 803
         assert result.optimum.rate == pytest.approx(0.803)
 
     def test_matches_floor_rule_when_compute_free(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-3, tb=0.0), epsilon=1e-3, power_cap_db=5.0, n_range=(500, 520)
+            budget=budget(1e-3, tb=0.0), epsilon=1e-3, power_cap_db=5.0
         )
-        result = maximize_k(cfg)
+        result = maximize_k(cfg, range(500, 521))
         for pt in result.sweep:
             expected = math.floor(pt.n * normal_approx_rate(pt.n, 1e-3, Snr(5.0)))
             assert pt.k == expected
 
     def test_feasibility_monotone_in_k(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0, n_range=(2, 300)
+            budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
             flags = [_max_k_feasible(n, k, cfg) for k in range(1, n)]
@@ -107,9 +107,9 @@ class TestMaximizeK:
 
     def test_optimum_satisfies_constraints_independently(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0, n_range=(150, 260), n_step=2
+            budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
-        result = maximize_k(cfg)
+        result = maximize_k(cfg, range(150, 261, 2))
         pt = result.optimum
         assert pt is not None
         window = cfg.budget.deadline - pt.n * TS
@@ -128,9 +128,9 @@ class TestMaximizeK:
 
     def test_transmission_longer_than_deadline_infeasible(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-4), epsilon=1e-3, power_cap_db=5.0, n_range=(90, 120), n_step=5
+            budget=budget(1e-4), epsilon=1e-3, power_cap_db=5.0
         )
-        result = maximize_k(cfg)
+        result = maximize_k(cfg, range(90, 121, 5))
         for pt in result.sweep:
             # n = 100 leaves a zero-width decoding window and is infeasible
             # too; anything longer cannot even be transmitted in time
@@ -140,9 +140,9 @@ class TestMaximizeK:
                 assert pt.feasible
 
     def test_requires_finite_power_cap(self):
-        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, n_range=(2, 100))
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
         with pytest.raises(ValueError):
-            maximize_k(cfg)
+            maximize_k(cfg, range(2, 101))
 
 
 class TestMinimizeLatency:
@@ -151,10 +151,8 @@ class TestMinimizeLatency:
             budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
             epsilon=1e-3,
             power_cap_db=math.inf,
-            n_range=(64, 160),
-            k_fixed=64,
         )
-        result = minimize_latency(cfg)
+        result = minimize_latency(cfg, 64, range(64, 161))
         assert result.optimum.n == 64
         assert result.optimum.c == 1.0
         assert result.optimum.total_latency_s == pytest.approx(64 * TS + 64 * TB)
@@ -164,10 +162,8 @@ class TestMinimizeLatency:
             budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
             epsilon=1e-3,
             power_cap_db=10.0,
-            n_range=(64, 400),
-            k_fixed=64,
         )
-        result = minimize_latency(cfg)
+        result = minimize_latency(cfg, 64, range(64, 401))
         lat = [pt.total_latency_s for pt in result.sweep if pt.feasible]
         best = lat.index(min(lat))
         assert all(lat[i] >= lat[i + 1] - 1e-15 for i in range(best))
@@ -178,10 +174,8 @@ class TestMinimizeLatency:
             budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
             epsilon=1e-3,
             power_cap_db=3.0,
-            n_range=(64, 120),
-            k_fixed=64,
         )
-        result = minimize_latency(cfg)
+        result = minimize_latency(cfg, 64, range(64, 121))
         assert any(not pt.feasible for pt in result.sweep)
         for pt in result.sweep:
             if not pt.feasible and pt.rate < 1.0:
@@ -192,41 +186,45 @@ class TestMinimizeLatency:
             budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
             epsilon=1e-3,
             power_cap_db=5.0,
-            n_range=(64, 300),
-            k_fixed=64,
         )
-        pt = minimize_latency(cfg).optimum
+        pt = minimize_latency(cfg, 64, range(64, 301)).optimum
         assert pt.snr_db == pytest.approx(5.0)
         assert required_snr(pt.n, 1e-3, 64 / pt.n).db <= 5.0
         assert pt.c >= 1.0
 
     def test_requires_k_and_power(self):
-        with pytest.raises(ValueError):
-            minimize_latency(
-                ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, n_range=(2, 100))
-            )
+        no_cap = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
+        with pytest.raises(ValueError, match="power_cap_db"):
+            minimize_latency(no_cap, 64, range(64, 101))
+        capped = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0)
+        with pytest.raises(ValueError, match="1 <= k"):
+            minimize_latency(capped, 0, range(2, 101))
+
+    @pytest.mark.parametrize("cap", [5.0, math.inf])
+    def test_refuses_blocklengths_below_k(self, cap):
+        # at an infinite cap the sweep never checks the rate, so n < k would read as feasible
+        cfg = ScenarioConfig(
+            budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
+            epsilon=1e-3,
+            power_cap_db=cap,
+        )
+        with pytest.raises(ValueError, match="k <= n"):
+            minimize_latency(cfg, 64, range(2, 101))
 
 
 class TestConfigAndSerialization:
-    def test_k_fixed_must_start_range(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, n_range=(2, 100), k_fixed=64)
-
     @pytest.mark.parametrize("cap", [-math.inf, math.nan])
     def test_power_cap_must_be_finite_or_plus_inf(self, cap):
         with pytest.raises(ValueError, match="power_cap_db"):
-            ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=cap, k_fixed=64,
-                           n_range=(64, 100))
+            ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=cap)
 
     def test_rate_grid_excludes_one(self):
-        cfg = ScenarioConfig(
-            budget=budget(1e-3), epsilon=1e-3, n_range=(2, 64), rate_step=0.25
-        )
-        result = max_rate_curve(64, cfg)
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
+        result = max_rate_curve(64, cfg, rate_step=0.25)
         assert [pt.rate for pt in result.sweep] == [0.25, 0.5, 0.75]
 
     def test_csv_rows_shape(self):
-        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, n_range=(2, 64))
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
         result = max_rate_curve(64, cfg)
         rows = csv_rows(result)
         assert len(rows) == len(result.sweep)
@@ -234,17 +232,49 @@ class TestConfigAndSerialization:
 
     def test_summary_doc(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-3, tb=0.0), epsilon=1e-3, power_cap_db=5.0, n_range=(990, 1000)
+            budget=budget(1e-3, tb=0.0), epsilon=1e-3, power_cap_db=5.0
         )
-        doc = summary_doc(maximize_k(cfg))
+        doc = summary_doc(maximize_k(cfg, range(990, 1001)), {"epsilon": 1e-3})
         assert doc["scenario"] == "max-k"
         assert doc["optimum"]["k"] == 803
         assert doc["config"]["epsilon"] == 1e-3
 
     def test_empty_optimum(self):
         cfg = ScenarioConfig(
-            budget=budget(1e-3), epsilon=1e-3, power_cap_db=-30.0, n_range=(2, 50)
+            budget=budget(1e-3), epsilon=1e-3, power_cap_db=-30.0
         )
-        result = maximize_k(cfg)
+        result = maximize_k(cfg, range(2, 51))
         assert result.optimum is None
-        assert summary_doc(result)["optimum"] is None
+        assert summary_doc(result, {})["optimum"] is None
+
+
+class TestSweepIsPerBlocklength:
+    """Each sweep row depends only on its own n, so a sweep is the
+    concatenation of its single-blocklength sweeps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(2, 400), min_size=1, max_size=5),
+        st.sampled_from([0.0, 1e-10, 1e-9]),
+        st.integers(3, 8),
+    )
+    def test_maximize_k(self, ns, tb, cap):
+        cfg = ScenarioConfig(budget=budget(1e-3, tb=tb), epsilon=1e-3, power_cap_db=float(cap))
+        singles = [pt for n in ns for pt in maximize_k(cfg, [n]).sweep]
+        assert maximize_k(cfg, ns).sweep == singles
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(8, 64),
+        st.lists(st.integers(0, 300), min_size=1, max_size=5),
+        st.sampled_from([3.0, 5.0, 10.0, math.inf]),
+    )
+    def test_minimize_latency(self, k, offsets, cap):
+        cfg = ScenarioConfig(
+            budget=LatencyBudget(deadline=math.inf, symbol_time=TS, binop_time=TB),
+            epsilon=1e-3,
+            power_cap_db=cap,
+        )
+        ns = [k + off for off in offsets]
+        singles = [pt for n in ns for pt in minimize_latency(cfg, k, [n]).sweep]
+        assert minimize_latency(cfg, k, ns).sweep == singles

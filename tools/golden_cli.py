@@ -22,7 +22,8 @@ operation times 0, 0.1 ns and 1 ns, all three scenarios, infinite power
 caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
 --params-file, and usage/domain errors (a reversed lo:hi pair, max-k
-without a finite blocklength range among them).
+without a finite blocklength range, empty default blocklength ranges,
+flags a scenario does not read and blocklengths below 2 among them).
 """
 
 from __future__ import annotations
@@ -100,6 +101,14 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(scn + ("min-latency", "--k", "64", "--pm-db=-inf", "--n-range", "64:80"))
     cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "5", "--extrapolation", "clamp",
                        "--params-file", "{tmp}/params.json"))
+    # ranges a scenario does not read or that come out empty, and payloads or blocklengths below 2
+    cmds.append(scn + ("max-rate", "--n", "128", "--dm", "1e-3", "--n-range", "5:1"))
+    cmds.append(scn + ("max-k", "--pm-db", "5", "--dm", "1e-3", "--ts", "1e-2"))
+    cmds.append(scn + ("min-latency", "--k", "2000", "--pm-db", "5"))
+    cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "5", "--n-range", "2:100"))
+    cmds.append(scn + ("min-latency", "--k", "0", "--pm-db", "5"))
+    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "100:104", "--k", "50"))
+    cmds.append(scn + ("max-rate", "--n", "0", "--dm", "1e-3"))
 
     cmds.append(("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json"))
     cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope"))
@@ -120,7 +129,8 @@ def run_one(main, argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def capture(path: str) -> None:
+def run_commands() -> list[dict]:
+    """Exit code, stdout and stderr of every command_set() entry, run in-process."""
     from osdlat.cli import WORKERS_ENV, main
 
     os.environ[WORKERS_ENV] = "1"  # the simulate sidecar echoes the worker count
@@ -137,6 +147,11 @@ def capture(path: str) -> None:
                 "stdout": out.replace(tmp, "{tmp}"),
                 "stderr": err.replace(tmp, "{tmp}"),
             })
+    return results
+
+
+def capture(path: str) -> None:
+    results = run_commands()
     Path(path).write_text(json.dumps({"commands": results}, indent=1) + "\n", encoding="utf-8")
     print(f"captured {len(results)} commands to {path}")
 

@@ -261,6 +261,9 @@ def cmd_scenario(args) -> int:
     if args.which == "max-rate":
         if args.n is None or args.n_range is not None or args.k is not None:
             raise ValueError("max-rate needs --n and reads neither --n-range nor --k")
+        if args.rate_step > 0 and 1.0 / args.rate_step > MAX_RANGE_ROWS + 1:
+            raise ValueError(f"--rate-step {args.rate_step!r} gives over {MAX_RANGE_ROWS} rates; "
+                             f"use a coarser step")
         result = scenarios.max_rate_curve(args.n, cfg, args.rate_step)
         echo["n"] = args.n
     elif args.which == "max-k":

@@ -156,29 +156,27 @@ def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
 
 
 def _recovery_map(generator: np.ndarray):
-    """Column set J and inverse of G[:, J], for codeword -> message.
+    """Column set J and the packed rows of inv(G[:, J]), for codeword -> message.
 
     One elimination of [G | I_k] in column order: the pivots land on the
-    first k independent columns J of G, and the identity block, which the
-    elimination never moves, ends up holding inv(G[:, J]).  A pivot inside
-    the identity block means G is rank deficient: ValueError.
+    first k independent columns J of G, and the identity block ends up
+    holding inv(G[:, J]).  A pivot inside the identity block means G is
+    rank deficient: ValueError.
     """
     k, n = generator.shape
     aug = np.concatenate([generator, np.eye(k, dtype=np.uint8)], axis=1)
-    sys, perm = _gf2.systematic_with_permutation(aug, np.arange(n + k))
-    j_cols = perm[:k]
-    if j_cols.max() >= n:
+    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(aug), np.arange(n + k)[None, :])
+    if pivots.max() >= n:
         raise ValueError("generator does not have full row rank over GF(2)")
-    return j_cols, sys[:, n:]
+    return pivots[0], _gf2.pack(_gf2.unpack(sys[0], n + k)[:, n:])
 
 
 def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
-    """The unique message encoding to the given codeword."""
+    """The unique message encoding to the given codeword (n,), or to each row of (B, n)."""
     if code._recovery is None:
         code._recovery = _recovery_map(code.generator)
-    j_cols, inv = code._recovery
-    sub = codeword[j_cols].astype(np.int32)
-    return (sub @ inv.astype(np.int32) % 2).astype(np.uint8)
+    j_cols, inverse = code._recovery
+    return _gf2.unpack(_gf2.xor_rows(inverse, codeword[..., j_cols] != 0), code.k)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +186,27 @@ def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReceivedWord:
-    """Channel output samples and their log-likelihood ratios."""
+    """Channel output samples of one codeword."""
 
     y: np.ndarray
-    llr: np.ndarray
+
+
+def _bpsk_awgn(codewords: np.ndarray, snr: Snr, noise: np.ndarray) -> np.ndarray:
+    """Map bit b to symbol 1-2b and add noise scaled to variance 1/rho."""
+    return 1.0 - 2.0 * codewords.astype(np.float64) + math.sqrt(1.0 / snr.linear) * noise
 
 
 def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Generator) -> ReceivedWord:
     """BPSK-map the codeword (bit b -> symbol 1-2b) and add Gaussian noise.
 
-    Noise variance is 1/rho; LLRs follow the standard 2y/sigma^2
-    convention, so a positive LLR favors bit 0.
+    Noise variance is 1/rho.  The log-likelihood ratio of a sample is
+    2*rho*y, so y alone gives the decoder both the hard decisions (its
+    sign) and the reliability order (its magnitude).
     """
     codeword = np.asarray(codeword, dtype=np.uint8)
     if codeword.shape != (code.n,):
         raise ValueError(f"codeword must have length n={code.n}")
-    sigma2 = 1.0 / snr.linear
-    x = 1.0 - 2.0 * codeword.astype(np.float64)
-    y = x + math.sqrt(sigma2) * rng.standard_normal(code.n)
-    return ReceivedWord(y=y, llr=2.0 * y / sigma2)
+    return ReceivedWord(y=_bpsk_awgn(codeword, snr, rng.standard_normal(code.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +222,69 @@ class OsdStats:
     patterns_evaluated: int = 0
 
 
-_PATTERN_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
+_PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# Words drawn and decoded together, and candidates scored at once: with
+# these bounds no decoder temporary exceeds 2 MB at n = 128.
+_CHUNK_WORDS = 64
+_SCORE_CANDIDATES = 8192
 
 
-def _pattern_positions(k: int, order: int) -> list[np.ndarray]:
-    """Flip-position arrays of the weight 1..order error patterns.
+def _pattern_positions(k: int, order: int) -> np.ndarray:
+    """Flip positions of every error pattern of weight <= order, one row each.
 
-    Entry w-1 has shape (C(k, w), w).  Patterns are enumerated by
-    ascending weight and lexicographically within each weight, which is
-    also the decoder's tie-breaking order (the all-zero pattern comes
-    first and is handled implicitly).
+    Rows run by ascending weight and lexicographically within a weight,
+    which is also the decoder's tie-breaking order.  Rows have max(order,
+    1) entries: a pattern of lower weight is padded with position k,
+    which names an all-zero row, so row 0 is the all-zero pattern.
     """
     key = (k, order)
     if key not in _PATTERN_CACHE:
-        _PATTERN_CACHE[key] = [
-            np.array(list(itertools.combinations(range(k), w)), dtype=np.intp)
-            for w in range(1, order + 1)
-        ]
+        width = max(order, 1)
+        _PATTERN_CACHE[key] = np.array([
+            flips + (k,) * (width - w)
+            for w in range(order + 1)
+            for flips in itertools.combinations(range(k), w)
+        ], dtype=np.intp)
     return _PATTERN_CACHE[key]
+
+
+def _search(base_diff: np.ndarray, sys: np.ndarray, reliability: np.ndarray, patterns) -> np.ndarray:
+    """The best candidate's difference from the hard decisions, per word.
+
+    A candidate's difference is base_diff (B, W), the order-0 candidate's,
+    XOR the systematic rows its pattern flips.  Its score is read byte by
+    byte from tables[j, 256 * b + v], the sum of |y| of word b over the
+    bits of value v at byte j.
+    """
+    batch, n = reliability.shape
+    nbytes = -(-n // 8)
+    padded = np.zeros((batch, nbytes * 8))
+    padded[:, :n] = reliability
+    by_byte = padded.reshape(batch, nbytes, 8).transpose(1, 0, 2)
+    tables = np.zeros((nbytes, batch, 256))
+    for i in range(8):
+        np.add(tables[:, :, : 1 << i], by_byte[:, :, i, None], out=tables[:, :, 1 << i : 2 << i])
+    tables = tables.reshape(nbytes, batch * 256)
+    offsets = 256 * np.arange(batch)[:, None]
+    rows = np.concatenate([sys, np.zeros_like(sys[:, :1])], axis=1)
+    words = np.arange(batch)
+    best_diff, best = base_diff.copy(), np.full(batch, np.inf)
+    block = max(1, _SCORE_CANDIDATES // batch)
+    for lo in range(0, len(patterns), block):
+        flips = patterns[lo : lo + block]
+        diffs = np.take(rows, flips[:, 0], axis=1)
+        diffs ^= base_diff[:, None, :]
+        for column in flips.T[1:]:
+            diffs ^= np.take(rows, column, axis=1)
+        byte_values = diffs.astype("<u8", copy=False).view(np.uint8)
+        scores = tables[0][byte_values[:, :, 0] + offsets]
+        for j in range(1, nbytes):
+            scores += tables[j][byte_values[:, :, j] + offsets]
+        pick = scores.argmin(axis=1)
+        better = scores[words, pick] < best
+        best = np.where(better, scores[words, pick], best)
+        best_diff[better] = diffs[better, pick[better]]
+    return best_diff
 
 
 def osd_decode(
@@ -250,38 +295,34 @@ def osd_decode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-s OSD: returns (message estimate, codeword estimate).
 
-    Positions are sorted by |LLR|; the most-reliable independent basis is
-    found by Gauss-Jordan elimination with greedy column swaps; hard
-    decisions on the basis are re-encoded under every error pattern of
-    weight <= order and the candidate closest to y in Euclidean distance
-    wins (first found in enumeration order on ties).
+    rx.y holds one received word (n,) or a batch of them (B, n); the
+    estimates have the same leading shape.  Each word ranks its positions
+    by |y|, most reliable first (stable sort), and takes the first k
+    independent ones as its basis (Fossorier & Lin, IEEE Trans. IT 41(5),
+    1995).  Its hard decisions on the basis, re-encoded under every error
+    pattern of weight <= order, are the candidates.  A candidate scores
+    the sum of |y_i| over the positions where it differs from the hard
+    decisions: for BPSK its squared distance to y is
+    sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking is the same.  The
+    first minimum in enumeration order wins.  Memory grows with B, so the
+    Monte Carlo loop decodes _CHUNK_WORDS words at a time.
     """
-    k, n = code.k, code.n
-    if not 0 <= order <= k:
-        raise ValueError(f"order must be in [0, k={k}], got {order}")
-    reliability = np.argsort(-np.abs(rx.llr), kind="stable")
-    gsys, perm = _gf2.systematic_with_permutation(code.generator, reliability)
-    y_perm = rx.y[perm]
-    hard = (rx.llr[perm] < 0).astype(np.uint8)
-
-    # re-encoding hard decisions under a pattern XORs the flipped rows of
-    # the systematic generator onto the order-0 candidate
-    base = np.bitwise_xor.reduce(gsys[np.nonzero(hard[:k])[0]], axis=0)
-    blocks = [base[None, :]]
-    for positions in _pattern_positions(k, order):
-        blocks.append(base ^ np.bitwise_xor.reduce(gsys[positions], axis=1))
-    candidates = np.concatenate(blocks, axis=0)
-
-    # squared distance to y via the correlation identity
-    corr = candidates.astype(np.float64) @ y_perm
-    dist2 = float(np.dot(y_perm, y_perm)) + n - 2.0 * (float(y_perm.sum()) - 2.0 * corr)
-    best = int(np.argmin(dist2))
-
-    cw = np.empty(n, dtype=np.uint8)
-    cw[perm] = candidates[best]
+    if not 0 <= order <= code.k:
+        raise ValueError(f"order must be in [0, k={code.k}], got {order}")
+    y = np.atleast_2d(rx.y)
+    reliability = np.abs(y)
+    order_by_reliability = np.argsort(-reliability, axis=1, kind="stable")
+    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(code.generator), order_by_reliability)
+    hard = y < 0
+    decision = _gf2.xor_rows(sys, hard[np.arange(len(y))[:, None], pivots])
+    if order > 0:
+        hard_words = _gf2.pack(hard)
+        patterns = _pattern_positions(code.k, order)
+        decision = _search(decision ^ hard_words, sys, reliability, patterns) ^ hard_words
+    cw = _gf2.unpack(decision, code.n).reshape(np.shape(rx.y))
     if stats is not None:
-        stats.decodes += 1
-        stats.patterns_evaluated += len(candidates)
+        stats.decodes += len(y)
+        stats.patterns_evaluated += len(y) * len(_pattern_positions(code.k, order))
     return message_from_codeword(code, cw), cw
 
 
@@ -318,17 +359,26 @@ class BlerEstimate:
 
 
 def _simulate_batch(code, order, snr, seed, batch_index, size):
+    """(errors, trials, patterns) of one batch of trials.
+
+    Each trial draws its message and then its noise, in trial order; the
+    drawn trials are encoded, transmitted and decoded _CHUNK_WORDS at a
+    time, and an error is a decoded codeword differing from the sent one.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    stats = OsdStats()
+    generator = _gf2.pack(code.generator)
     errors = 0
-    for _ in range(size):
-        msg = rng.integers(0, 2, code.k, dtype=np.uint8)
-        cw = encode(code, msg)
-        rx = transmit(code, cw, snr, rng)
-        _, cw_hat = osd_decode(code, rx, order, stats=stats)
-        if not np.array_equal(cw_hat, cw):
-            errors += 1
-    return errors, size, stats.patterns_evaluated
+    for start in range(0, size, _CHUNK_WORDS):
+        words = min(_CHUNK_WORDS, size - start)
+        messages = np.empty((words, code.k), dtype=bool)
+        noise = np.empty((words, code.n))
+        for i in range(words):
+            messages[i] = rng.integers(0, 2, code.k, dtype=np.uint8)
+            noise[i] = rng.standard_normal(code.n)
+        codewords = _gf2.unpack(_gf2.xor_rows(generator, messages), code.n)
+        _, decided = osd_decode(code, ReceivedWord(y=_bpsk_awgn(codewords, snr, noise)), order)
+        errors += int(np.any(decided != codewords, axis=1).sum())
+    return errors, size, size * len(_pattern_positions(code.k, order))
 
 
 def _batch_results(code, order, snr, seed, max_trials, workers):

@@ -288,6 +288,14 @@ class TestScenarioCommand:
         assert "Traceback" not in proc.stderr
         assert "--n " in proc.stderr
 
+    @pytest.mark.parametrize("step", ["1e-7", "5e-324"])
+    def test_max_rate_oversized_rate_grid_is_domain_error(self, step):
+        proc = run_cli("scenario", "--which", "max-rate", "--n", "128", "--rate-step", step,
+                       check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--rate-step" in proc.stderr
+
     @pytest.mark.parametrize(
         ("which", "args", "message"),
         [

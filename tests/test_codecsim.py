@@ -1,10 +1,15 @@
+import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
+import osd_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osdlat import _gf2
+from osdlat import _gf2, codecsim
 from osdlat.codecsim import (
     BlerEstimate,
     CodeSpec,
@@ -37,8 +42,10 @@ class TestConstruction:
         code = build_ebch(n, k)
         assert code.d_min == d_min
         assert code.generator.shape == (k, n)
-        sys, _ = _gf2.systematic_with_permutation(code.generator, np.arange(n))
-        assert np.array_equal(sys[:, :k], np.eye(k, dtype=np.uint8))
+        generator = _gf2.pack(code.generator)
+        sys, pivots = _gf2.systematic_with_permutation(generator, np.arange(n)[None, :])
+        assert np.array_equal(_gf2.unpack(sys[0], n)[:, :k], np.eye(k, dtype=np.uint8))
+        assert np.array_equal(pivots[0], np.arange(k))
         assert code.construction == "ebch"
 
     def test_overall_parity_column(self, code6436):
@@ -112,7 +119,7 @@ class TestTransmit:
         rx = transmit(code3216, cw, Snr(100.0), rng)
         symbols = 1.0 - 2.0 * cw
         assert np.allclose(rx.y, symbols, atol=1e-3)
-        assert np.array_equal(np.sign(rx.llr), np.sign(symbols))
+        assert np.array_equal(np.sign(rx.y), np.sign(symbols))
 
     def test_noise_variance(self, code6436):
         rho = Snr(3.0).linear
@@ -125,13 +132,6 @@ class TestTransmit:
         noise = np.concatenate(samples)
         assert noise.size >= 10**6
         assert noise.var() == pytest.approx(1.0 / rho, rel=0.01)
-
-    def test_llr_convention(self, code84):
-        rng = np.random.default_rng(3)
-        cw = encode(code84, rng.integers(0, 2, 4, dtype=np.uint8))
-        rx = transmit(code84, cw, Snr(1.5), rng)
-        sigma2 = 1.0 / Snr(1.5).linear
-        assert np.allclose(rx.llr, 2.0 * rx.y / sigma2, rtol=1e-12)
 
     def test_deterministic_given_seed(self, code84):
         cw = np.zeros(8, dtype=np.uint8)
@@ -290,3 +290,81 @@ class TestRequiredSnrSim:
         assert not thr.reached
         assert math.isnan(thr.snr_db)
         assert len(thr.sweep) == 5
+
+
+KERNEL_CODES = ((8, 4), (16, 7), (32, 16), (64, 36), (128, 64))
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_code(n, k):
+    return build_ebch(n, k)
+
+
+@st.composite
+def received_batches(draw, max_order=2, codes=KERNEL_CODES):
+    """A code, an order and a few received words y (B, n).
+
+    A nonzero quantum rounds y to its multiples, so that |y| and candidate
+    distances tie exactly and tie-breaking is exercised."""
+    n, k = draw(st.sampled_from(codes))
+    order = draw(st.integers(0, max_order))
+    words = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 10 ** (-draw(st.floats(-3.0, 6.0)) / 20)
+    quantum = draw(st.sampled_from((0.0, 0.25, 0.5)))
+    code = kernel_code(n, k)
+    codewords = rng.integers(0, 2, (words, k)) @ code.generator % 2
+    y = 1.0 - 2.0 * codewords + sigma * rng.standard_normal((words, n))
+    if quantum:
+        y = np.round(y / quantum) * quantum
+    return code, order, y
+
+
+class TestOsdKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(received_batches(), st.integers(1, 40))
+    def test_picks_reference_codeword(self, case, score_candidates):
+        code, order, y = case
+        expected = [osd_reference.osd_decode(code.generator, word, order)[0] for word in y]
+        batch_stats, stats = OsdStats(), OsdStats()
+        # small blocks, so that every block boundary is crossed
+        with mock.patch.object(codecsim, "_SCORE_CANDIDATES", score_candidates):
+            messages, batched = osd_decode(code, codecsim.ReceivedWord(y=y), order, batch_stats)
+        singles = [osd_decode(code, codecsim.ReceivedWord(y=word), order, stats)[1] for word in y]
+        for want, message, got, single in zip(expected, messages, batched, singles):
+            assert np.array_equal(got, want)
+            assert np.array_equal(single, want)
+            assert np.array_equal(encode(code, message), want)
+        for counts in (batch_stats, stats):
+            assert counts.decodes == len(y)
+            assert counts.patterns_evaluated == len(y) * pattern_count(code.k, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(received_batches(max_order=3))
+    def test_output_is_codeword(self, case):
+        code, order, y = case
+        for cw in osd_decode(code, codecsim.ReceivedWord(y=y), order)[1]:
+            assert np.array_equal(encode(code, message_from_codeword(code, cw)), cw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(received_batches(max_order=0, codes=KERNEL_CODES[:3]))
+    def test_distance_non_increasing_with_order(self, case):
+        code, _, y = case
+        for word in y:
+            rx = codecsim.ReceivedWord(y=word)
+            dists = [decode_distance(rx, osd_decode(code, rx, s)[1]) for s in range(4)]
+            assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("n,k,order,snr_db", [(16, 7, 2, 1.0), (32, 16, 1, 2.0), (64, 36, 1, 3.0)])
+    def test_batch_matches_per_trial_reference(self, n, k, order, snr_db):
+        code, snr = kernel_code(n, k), Snr(snr_db)
+        seed, batch_index, size = 11, 3, 150
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+        errors = 0
+        for _ in range(size):
+            cw = encode(code, rng.integers(0, 2, k, dtype=np.uint8))
+            y = 1.0 - 2.0 * cw + math.sqrt(1.0 / snr.linear) * rng.standard_normal(n)
+            errors += not np.array_equal(osd_reference.osd_decode(code.generator, y, order)[0], cw)
+        assert errors > 0
+        result = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
+        assert result == (errors, size, size * pattern_count(k, order))

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import osd_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,10 @@ from osdlat import _gf2
 
 
 @st.composite
-def matrices_and_orders(draw):
-    """A random k x n GF(2) matrix, k <= 6, n <= 16, and a column order."""
+def matrices_and_orders(draw, max_n=16):
+    """A random k x n GF(2) matrix, k <= 6, n <= max_n, and a column order."""
     k = draw(st.integers(1, 6))
-    n = draw(st.integers(k, 16))
+    n = draw(st.integers(k, max_n))
     bits = draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n))
     order = draw(st.permutations(range(n)))
     return np.array(bits, dtype=np.uint8).reshape(k, n), np.array(order)
@@ -31,6 +32,22 @@ def full_rank(matrix):
     return len(row_space(matrix)) == 2 ** matrix.shape[0]
 
 
+def packed_systematic(matrix, order):
+    """The packed elimination of one matrix under one order, unpacked."""
+    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(matrix), np.asarray(order)[None, :])
+    return _gf2.unpack(sys[0], matrix.shape[1]), pivots[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=200), min_size=1, max_size=4))
+def test_pack_round_trip(rows):
+    n = min(len(r) for r in rows)
+    bits = np.array([r[:n] for r in rows], dtype=np.uint8)
+    words = _gf2.pack(bits)
+    assert words.shape == (len(rows), -(-n // 64))
+    assert np.array_equal(_gf2.unpack(words, n), bits)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices_and_orders())
 def test_elimination_or_rank_error(case):
@@ -38,16 +55,15 @@ def test_elimination_or_rank_error(case):
     k = matrix.shape[0]
     if not full_rank(matrix):
         with pytest.raises(ValueError):
-            _gf2.systematic_with_permutation(matrix, order)
+            packed_systematic(matrix, order)
         return
-    sys, perm = _gf2.systematic_with_permutation(matrix, order)
-    assert np.array_equal(sys[:, :k], np.eye(k, dtype=np.uint8))
-    assert sorted(perm.tolist()) == sorted(order.tolist())
-    # output column j is input column perm[j], so undo the permutation
-    unpermuted = np.empty_like(sys)
-    unpermuted[:, perm] = sys
+    sys, pivots = packed_systematic(matrix, order)
+    assert np.array_equal(sys[:, pivots], np.eye(k, dtype=np.uint8))
+    # the pivots come in preference order
+    rank_in_order = np.argsort(order)[pivots]
+    assert np.all(np.diff(rank_in_order) > 0)
     space = row_space(matrix)
-    assert all(row.tobytes() in space for row in unpermuted)
+    assert all(row.tobytes() in space for row in sys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,4 +78,34 @@ def test_duplicated_or_zero_row_raises(case, data):
     else:
         matrix[target] = 0
     with pytest.raises(ValueError):
-        _gf2.systematic_with_permutation(matrix, order)
+        packed_systematic(matrix, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_and_orders())
+def test_matches_reference_elimination(case):
+    matrix, order = case
+    if not full_rank(matrix):
+        return
+    k = matrix.shape[0]
+    ref_sys, perm = osd_reference.systematic_with_permutation(matrix, order)
+    sys, pivots = packed_systematic(matrix, order)
+    assert np.array_equal(pivots, perm[:k])
+    # reference column j is input column perm[j]
+    assert np.array_equal(sys[:, perm], ref_sys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_orders(max_n=70), st.data())
+def test_batch_equals_single_reductions(case, data):
+    # n up to 70 covers two-word rows; reductions finish at different steps
+    matrix, first = case
+    if not full_rank(matrix):
+        return
+    more = data.draw(st.lists(st.permutations(range(matrix.shape[1])), max_size=5))
+    orders = [list(first)] + more
+    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(matrix), np.array(orders))
+    for b, order in enumerate(orders):
+        single_sys, single_pivots = packed_systematic(matrix, order)
+        assert np.array_equal(_gf2.unpack(sys[b], matrix.shape[1]), single_sys)
+        assert np.array_equal(pivots[b], single_pivots)

@@ -1,0 +1,221 @@
+"""Paired benchmark of the working tree against a parent commit.
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_7.json
+
+The parent commit is exported with ``git archive`` into a temporary
+directory, so the repository's ``.git`` gains no worktree entry; the change
+is the working tree.  For every workload of ``BENCHMARK.json`` and every
+seed, ``perfbench/run.py`` runs once on each side, and the side that runs
+first alternates from pair to pair, so slow drift of a shared machine
+falls on both sides alike.  The record holds, per workload and gated
+end-to-end metric, each side's median and quartiles and the number of
+pairs the change won.
+
+It also times, on both sides, the Tier-1 suite and the slow acceptance
+gates (``pytest -m slow``), and on the change the gates' three simulated
+sweeps with 1 and with 2 pool workers, next to ``mc_sweep_parallel``
+against ``mc_sweep``: the data that decides whether the process pool pays.
+Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
+of the change's ``src/`` files close the record, so it can be matched to
+the commit that holds the change.
+
+Run it on an otherwise idle machine: with 10 pairs of 20 s runs over four
+workloads plus both suites it takes about an hour.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# Ten pairs per workload, on seeds kept apart from the seeds 1-4 used in
+# tuning; each run lasts BENCHMARK.json's run_seconds.
+SEEDS = tuple(range(11, 21))
+GATE_SNIPPET = """
+import json, sys, time
+sys.path[:0] = ["src", "tests"]
+import test_acceptance as gate
+gate.SIM_WORKERS = int(sys.argv[1])
+start = time.perf_counter()
+_, thresholds = gate._simulated_thresholds()
+print(json.dumps({"seconds": time.perf_counter() - start,
+                  "thresholds_db": {s: t.snr_db for s, t in thresholds.items()}}))
+"""
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of commit rev into dest."""
+    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def src_lines(side: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((side / "src" / "osdlat").glob("*.py")))
+
+
+def src_blobs(side: Path) -> dict:
+    """Git blob SHA of every src/osdlat file, to match against a commit's tree."""
+    paths = sorted((side / "src" / "osdlat").glob("*.py"))
+    shas = git("hash-object", *map(str, paths)).split()
+    return {str(p.relative_to(side)): sha for p, sha in zip(paths, shas)}
+
+
+def side_env(side: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("OSDLAT_WORKERS", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(side / "src")
+    return env
+
+
+def perfbench(side: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
+        cwd=side, env=side_env(side), capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench {workload} seed {seed} in {side} failed:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def timed(side: Path, argv: list[str]) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=side, env=side_env(side), capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, "returncode": proc.returncode, "last_line": lines[-1] if lines else ""}
+
+
+def suites(side: Path) -> dict:
+    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    return {
+        "tier1": timed(side, pytest + ["--continue-on-collection-errors"]),
+        "slow_gates": timed(side, pytest + ["-m", "slow", "tests/test_acceptance.py"]),
+    }
+
+
+def gate_sweeps(side: Path, workers: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", GATE_SNIPPET, str(workers)], cwd=side,
+                          env=side_env(side), check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(pairs: list[dict]) -> dict:
+    """Per gated metric: both sides' median and quartiles, and the change's wins."""
+    out = {}
+    for metric in SPEC["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        out[name] = {
+            "better": metric["better"],
+            "parent": summary(parent),
+            "change": summary(change),
+            "change_over_parent_median": statistics.median(change) / statistics.median(parent),
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def machine() -> dict:
+    cpu = "unknown"
+    try:
+        cpu = next(line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
+                   if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    import numpy
+    import scipy
+
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="commit the working tree is compared with")
+    parser.add_argument("--out", required=True, help="JSON record to write")
+    args = parser.parse_args(argv)
+
+    record = {
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "command": ["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
+        "machine": machine(),
+        "seconds_per_run": SPEC["run_seconds"],
+        "seeds": list(SEEDS),
+        "order": "the parent runs first in even-numbered pairs, the change in odd-numbered ones",
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        export(args.parent, parent)
+        record["parent"] = {"rev": args.parent, "sha": git("rev-parse", args.parent),
+                            "src_lines": src_lines(parent)}
+        record["change"] = {"base_sha": git("rev-parse", "HEAD"),
+                            "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "tests", "tools")),
+                            "src_lines": src_lines(ROOT), "src_blobs": src_blobs(ROOT)}
+        sides = {"parent": parent, "change": ROOT}
+
+        record["workloads"] = {}
+        for workload in (w["name"] for w in SPEC["workloads"]):
+            pairs = []
+            for i, seed in enumerate(SEEDS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for name in order:
+                    pair[name] = perfbench(sides[name], workload, seed)
+                    print(f"{workload} seed {seed} {name}: {pair[name]['metrics']}", file=sys.stderr)
+                pairs.append(pair)
+            record["workloads"][workload] = {"metrics": compare(pairs), "pairs": pairs}
+
+        record["suites"] = {name: suites(side) for name, side in sides.items()}
+        record["pool"] = {
+            "norm_wall_s_median": {
+                name: {w: record["workloads"][w]["metrics"]["norm_wall_s"][name]["median"]
+                       for w in ("mc_sweep", "mc_sweep_parallel")}
+                for name in sides
+            },
+            "change_gate_sweeps": {f"workers_{w}": gate_sweeps(ROOT, w) for w in (1, 2)},
+        }
+    Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

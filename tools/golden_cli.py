@@ -23,7 +23,8 @@ caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
 --params-file, and usage/domain errors (a reversed lo:hi pair, max-k
 without a finite blocklength range, empty default blocklength ranges,
-flags a scenario does not read and blocklengths below 2 among them).
+flags a scenario does not read, blocklengths below 2 and an oversized
+max-rate rate grid among them).
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(scn + ("min-latency", "--k", "0", "--pm-db", "5"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "100:104", "--k", "50"))
     cmds.append(scn + ("max-rate", "--n", "0", "--dm", "1e-3"))
+    # a rate grid of 10^7 rows
+    cmds.append(scn + ("max-rate", "--n", "128", "--rate-step", "1e-7"))
 
     cmds.append(("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json"))
     cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope"))

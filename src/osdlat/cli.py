@@ -222,7 +222,11 @@ def cmd_simulate(args) -> int:
         sweep = [codecsim.estimate_bler(code, args.order, Snr(args.snr_db), **run)]
         sidecar.update({"snr_db": args.snr_db, "bler_upper_bound": sweep[0].upper_bound})
     else:
-        thr = codecsim.required_snr_sim(code, args.order, args.eps, grid_db=args.grid_db, **run)
+        grid = args.grid_db
+        if not (math.isfinite(grid) and grid > 0 and codecsim.SWEEP_SPAN_DB / grid < MAX_RANGE_ROWS):
+            raise ValueError(f"--grid-db {grid!r} must be finite, positive and give at most "
+                             f"{MAX_RANGE_ROWS} sweep points over {codecsim.SWEEP_SPAN_DB} dB")
+        thr = codecsim.required_snr_sim(code, args.order, args.eps, grid_db=grid, **run)
         sweep = thr.sweep
         sidecar.update(
             {

@@ -34,6 +34,8 @@ SWEEP_CSV_COLUMNS = ("snr_db", "s", "trials", "errors", "bler", "ci95")
 BATCH_SIZE = 512
 # A sweep point is accepted when bler + ci95 <= CI_SLACK * epsilon.
 CI_SLACK = 1.5
+# dB a required-SNR sweep covers before it gives up.
+SWEEP_SPAN_DB = 15.0
 
 
 class ConstructionError(ValueError):
@@ -223,8 +225,12 @@ class OsdStats:
 
 
 _PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-# Words drawn and decoded together, and candidates scored at once: with
-# these bounds no decoder temporary exceeds 2 MB at n = 128.
+# Words scored together, and candidates scored at once.  Measured with
+# tracemalloc on 512 words, the search of one slice peaks at 2.7 MB at
+# eBCH(128,64) s = 2 and 5.5 MB at eBCH(256,247) s = 1, mostly byte
+# tables; the elimination, which runs on the whole batch, peaks at 4.0 and
+# 16 MB.  Scoring all 512 words at once would take the decode from 5.0 to
+# 20 MB at n = 128.
 _CHUNK_WORDS = 64
 _SCORE_CANDIDATES = 8192
 
@@ -304,8 +310,9 @@ def osd_decode(
     the sum of |y_i| over the positions where it differs from the hard
     decisions: for BPSK its squared distance to y is
     sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking is the same.  The
-    first minimum in enumeration order wins.  Memory grows with B, so the
-    Monte Carlo loop decodes _CHUNK_WORDS words at a time.
+    first minimum in enumeration order wins.  The ordering, elimination
+    and order-0 candidate run once over the whole batch; the search scores
+    _CHUNK_WORDS words at a time, so its byte tables do not grow with B.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
@@ -318,7 +325,11 @@ def osd_decode(
     if order > 0:
         hard_words = _gf2.pack(hard)
         patterns = _pattern_positions(code.k, order)
-        decision = _search(decision ^ hard_words, sys, reliability, patterns) ^ hard_words
+        diff = decision ^ hard_words
+        for lo in range(0, len(y), _CHUNK_WORDS):
+            part = slice(lo, lo + _CHUNK_WORDS)
+            diff[part] = _search(diff[part], sys[part], reliability[part], patterns)
+        decision = diff ^ hard_words
     cw = _gf2.unpack(decision, code.n).reshape(np.shape(rx.y))
     if stats is not None:
         stats.decodes += len(y)
@@ -362,22 +373,18 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
     """(errors, trials, patterns) of one batch of trials.
 
     Each trial draws its message and then its noise, in trial order; the
-    drawn trials are encoded, transmitted and decoded _CHUNK_WORDS at a
-    time, and an error is a decoded codeword differing from the sent one.
+    whole batch is then encoded, transmitted and decoded at once, and an
+    error is a decoded codeword differing from the sent one.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    generator = _gf2.pack(code.generator)
-    errors = 0
-    for start in range(0, size, _CHUNK_WORDS):
-        words = min(_CHUNK_WORDS, size - start)
-        messages = np.empty((words, code.k), dtype=bool)
-        noise = np.empty((words, code.n))
-        for i in range(words):
-            messages[i] = rng.integers(0, 2, code.k, dtype=np.uint8)
-            noise[i] = rng.standard_normal(code.n)
-        codewords = _gf2.unpack(_gf2.xor_rows(generator, messages), code.n)
-        _, decided = osd_decode(code, ReceivedWord(y=_bpsk_awgn(codewords, snr, noise)), order)
-        errors += int(np.any(decided != codewords, axis=1).sum())
+    messages = np.empty((size, code.k), dtype=bool)
+    noise = np.empty((size, code.n))
+    for i in range(size):
+        messages[i] = rng.integers(0, 2, code.k, dtype=np.uint8)
+        noise[i] = rng.standard_normal(code.n)
+    codewords = _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), messages), code.n)
+    _, decided = osd_decode(code, ReceivedWord(y=_bpsk_awgn(codewords, snr, noise)), order)
+    errors = int(np.any(decided != codewords, axis=1).sum())
     return errors, size, size * len(_pattern_positions(code.k, order))
 
 
@@ -480,7 +487,7 @@ def required_snr_sim(
     max_trials: int = 10**6,
     seed: int = 0,
     start_db: float | None = None,
-    span_db: float = 15.0,
+    span_db: float = SWEEP_SPAN_DB,
     workers: int = 1,
     stats: OsdStats | None = None,
 ) -> SimulatedThreshold:

@@ -28,13 +28,23 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class Snr:
-    """Signal-to-noise ratio.  Stored in dB; noise variance is 1/linear."""
+    """Signal-to-noise ratio.  Stored in dB; noise variance is 1/linear.
+
+    The dB value must have a finite, positive linear value, which holds
+    from about -3236 dB to +3082 dB.
+    """
 
     db: float
 
     def __post_init__(self):
         if not math.isfinite(self.db):
             raise ValueError(f"SNR must be finite, got {self.db} dB")
+        try:
+            linear = self.linear
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ValueError(f"SNR {self.db} dB has no finite positive linear value")
 
     @property
     def linear(self) -> float:

@@ -167,9 +167,13 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
         return False
     _, delta, _ = _deadline_cost(n, k, cfg)
     snr_left = cfg.power_cap_db - delta
-    if math.isinf(snr_left):
-        return False
-    return normal_approx_rate(n, cfg.epsilon, Snr(snr_left)) >= rate
+    try:
+        snr = Snr(snr_left)
+    except ValueError:
+        # -inf or past either end of the linear scale: below it no rate
+        # fits, above it every rate below 1 does
+        return snr_left > 0
+    return normal_approx_rate(n, cfg.epsilon, snr) >= rate
 
 
 def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:

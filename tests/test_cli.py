@@ -62,6 +62,13 @@ class TestRateCommand:
         assert proc.returncode == 3
         assert "rows" in proc.stderr
 
+    @pytest.mark.parametrize("spec", ["3000:3100:50", "-1e308:0:1e308"])
+    def test_snr_without_linear_value_is_domain_error(self, spec):
+        proc = run_cli("rate", "--n", "128", "--eps", "1e-3", f"--snr-db-range={spec}", check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "linear" in proc.stderr
+
 
 class TestComplexityCommand:
     def test_table_and_sidecar(self, tmp_path):
@@ -190,6 +197,22 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--code", "10x5", "--order", "0", "--snr-db", "6", check=False)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize(("code", "snr"), [("64x36", "3100"), ("8x4", "-1e308")])
+    def test_snr_without_linear_value_is_domain_error(self, code, snr):
+        proc = run_cli("simulate", "--code", code, "--order", "0", f"--snr-db={snr}", check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "linear" in proc.stderr
+
+    # 0.00015 dB is the first grid past MAX_RANGE_ROWS points over the 15 dB span
+    @pytest.mark.parametrize("grid", ["1e-12", "0.00015", "nan", "inf", "0", "-0.25"])
+    def test_bad_sweep_grid_is_domain_error(self, grid):
+        proc = run_cli("simulate", "--code", "8x4", "--order", "0", "--eps", "1e-2",
+                       f"--grid-db={grid}", "--max-trials", "10", check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--grid-db" in proc.stderr
+
 
 class TestScenarioCommand:
     def test_max_k_summary(self, tmp_path):
@@ -287,6 +310,14 @@ class TestScenarioCommand:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "--n " in proc.stderr
+
+    @pytest.mark.parametrize(("cap", "feasible"), [("-4000", False), ("1e308", True)])
+    def test_power_cap_past_linear_scale(self, tmp_path, cap, feasible):
+        out = tmp_path / "k.csv"
+        run_cli("scenario", "--which", "max-k", "--dm", "1e-3", f"--pm-db={cap}",
+                "--n-range", "60:62", "--out", str(out))
+        sidecar = json.loads((tmp_path / "k.csv.json").read_text())
+        assert (sidecar["optimum"] is not None) == feasible
 
     @pytest.mark.parametrize("step", ["1e-7", "5e-324"])
     def test_max_rate_oversized_rate_grid_is_domain_error(self, step):

@@ -301,14 +301,14 @@ def kernel_code(n, k):
 
 
 @st.composite
-def received_batches(draw, max_order=2, codes=KERNEL_CODES):
+def received_batches(draw, max_order=2, codes=KERNEL_CODES, words=(1, 5)):
     """A code, an order and a few received words y (B, n).
 
     A nonzero quantum rounds y to its multiples, so that |y| and candidate
     distances tie exactly and tie-breaking is exercised."""
     n, k = draw(st.sampled_from(codes))
     order = draw(st.integers(0, max_order))
-    words = draw(st.integers(1, 5))
+    words = draw(st.integers(*words))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = 10 ** (-draw(st.floats(-3.0, 6.0)) / 20)
     quantum = draw(st.sampled_from((0.0, 0.25, 0.5)))
@@ -322,13 +322,15 @@ def received_batches(draw, max_order=2, codes=KERNEL_CODES):
 
 class TestOsdKernel:
     @settings(max_examples=120, deadline=None)
-    @given(received_batches(), st.integers(1, 40))
-    def test_picks_reference_codeword(self, case, score_candidates):
+    @given(received_batches(words=(1, 8)), st.integers(1, 40), st.data())
+    def test_picks_reference_codeword(self, case, score_candidates, data):
         code, order, y = case
         expected = [osd_reference.osd_decode(code.generator, word, order)[0] for word in y]
         batch_stats, stats = OsdStats(), OsdStats()
-        # small blocks, so that every block boundary is crossed
-        with mock.patch.object(codecsim, "_SCORE_CANDIDATES", score_candidates):
+        # small candidate blocks and word slices shorter than the batch, so
+        # that every block and slice boundary is crossed
+        chunk_words = data.draw(st.integers(1, max(1, len(y) - 1)))
+        with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=score_candidates, _CHUNK_WORDS=chunk_words):
             messages, batched = osd_decode(code, codecsim.ReceivedWord(y=y), order, batch_stats)
         singles = [osd_decode(code, codecsim.ReceivedWord(y=word), order, stats)[1] for word in y]
         for want, message, got, single in zip(expected, messages, batched, singles):
@@ -358,13 +360,15 @@ class TestOsdKernel:
     @pytest.mark.parametrize("n,k,order,snr_db", [(16, 7, 2, 1.0), (32, 16, 1, 2.0), (64, 36, 1, 3.0)])
     def test_batch_matches_per_trial_reference(self, n, k, order, snr_db):
         code, snr = kernel_code(n, k), Snr(snr_db)
-        seed, batch_index, size = 11, 3, 150
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-        errors = 0
-        for _ in range(size):
-            cw = encode(code, rng.integers(0, 2, k, dtype=np.uint8))
-            y = 1.0 - 2.0 * cw + math.sqrt(1.0 / snr.linear) * rng.standard_normal(n)
-            errors += not np.array_equal(osd_reference.osd_decode(code.generator, y, order)[0], cw)
-        assert errors > 0
-        result = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
-        assert result == (errors, size, size * pattern_count(k, order))
+        seed, batch_index = 11, 3
+        # a full batch and a partial one, both longer than one score slice
+        for size in (codecsim.BATCH_SIZE, 150):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+            errors = 0
+            for _ in range(size):
+                cw = encode(code, rng.integers(0, 2, k, dtype=np.uint8))
+                y = 1.0 - 2.0 * cw + math.sqrt(1.0 / snr.linear) * rng.standard_normal(n)
+                errors += not np.array_equal(osd_reference.osd_decode(code.generator, y, order)[0], cw)
+            assert errors > 0
+            result = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
+            assert result == (errors, size, size * pattern_count(k, order))

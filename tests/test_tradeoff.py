@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osdlat.fblmath import required_snr
 from osdlat.tradeoff import (
@@ -46,15 +48,18 @@ class TestLawEvaluation:
 
 
 class TestLawInversion:
-    def test_round_trip(self):
-        for c in (1e4, 576.0, 2.0, 1e8):
-            drho = complexity_to_penalty(c, PARAMS_128)
-            assert penalty_to_complexity(drho, PARAMS_128) == pytest.approx(c, rel=1e-9)
+    # c runs over (1, max_complexity) on a log scale
+    @given(st.sampled_from((PARAMS_64, PARAMS_128)),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_round_trip(self, params, share):
+        c = params.max_complexity**share
+        drho = complexity_to_penalty(c, params)
+        assert penalty_to_complexity(drho, params) == pytest.approx(c, rel=1e-9)
 
-    def test_mutual_inverse_across_domain(self):
-        for drho in (0.01, 0.3, 1.0, 3.0, 8.0, 20.0):
-            c = penalty_to_complexity(drho, PARAMS_64)
-            assert complexity_to_penalty(c, PARAMS_64) == pytest.approx(drho, rel=1e-9)
+    @given(st.sampled_from((PARAMS_64, PARAMS_128)), st.floats(1e-3, 1e3))
+    def test_mutual_inverse_across_domain(self, params, drho):
+        c = penalty_to_complexity(drho, params)
+        assert complexity_to_penalty(c, params) == pytest.approx(drho, rel=1e-9)
 
     def test_boundary_clamp(self):
         assert complexity_to_penalty(PARAMS_128.max_complexity, PARAMS_128) == 0.0

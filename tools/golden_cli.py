@@ -23,8 +23,9 @@ caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
 --params-file, and usage/domain errors (a reversed lo:hi pair, max-k
 without a finite blocklength range, empty default blocklength ranges,
-flags a scenario does not read, blocklengths below 2 and an oversized
-max-rate rate grid among them).
+flags a scenario does not read, blocklengths below 2, an oversized
+max-rate rate grid, SNRs and power caps past the linear SNR scale and
+sweep grids that are not finite, positive and bounded among them).
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(sim + ("--order", "4", "--eps", "3e-2", "--seed", "5", "--min-errors", "40"))
     cmds.append(("simulate", "--code", "16x11", "--order", "1", "--snr-db", "4", "--seed", "9",
                  "--min-errors", "20", "--max-trials", "3000"))
+    # SNRs whose linear value overflows or underflows, and sweep grids that are
+    # not finite and positive or that give more than MAX_RANGE_ROWS points
+    cmds.append(("simulate", "--code", "64x36", "--order", "0", "--snr-db", "3100"))
+    cmds.append(sim + ("--order", "0", "--snr-db=-1e308"))
+    for grid in ("1e-12", "nan", "inf", "0"):
+        cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--grid-db", grid, "--max-trials", "10"))
 
     scn = ("scenario", "--which")
     for eps in EPSILONS:
@@ -96,6 +103,9 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-30", "--n-range", "2:50"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "inf"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-inf"))
+    # power caps past either end of the linear SNR scale
+    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-4000", "--n-range", "60:70"))
+    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "1e308", "--n-range", "60:62"))
     # max-k without --n-range: an infinite deadline, and one bounding a 1e297-row sweep
     cmds.append(scn + ("max-k", "--pm-db", "5"))
     cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--ts", "1e-300"))
@@ -116,6 +126,8 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json"))
     cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope"))
     cmds.append(("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1"))
+    cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "3000:3100:50"))
+    cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range=-1e308:0:1e308"))
     return cmds
 
 

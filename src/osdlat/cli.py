@@ -204,6 +204,10 @@ def cmd_simulate(args) -> int:
     code = _parse_code(args.code)
     if args.snr_db is None and args.eps is None:
         raise ValueError("simulate needs --snr-db or --eps")
+    if args.snr_db is not None and args.eps is not None:
+        raise ValueError("simulate takes --snr-db or --eps, not both")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     run = {
         "min_errors": args.min_errors,
         "max_trials": args.max_trials,

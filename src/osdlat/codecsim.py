@@ -388,20 +388,35 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
     return errors, size, size * len(_pattern_positions(code.k, order))
 
 
-def _batch_results(code, order, snr, seed, max_trials, workers):
-    """Results of batches 0, 1, ... covering max_trials trials, in order.
-
-    A pool keeps at most 2 * workers batches in flight; closing the
-    iterator cancels the ones not yet started.
-    """
-    run = functools.partial(_simulate_batch, code, order, snr, seed)
-    sizes = (min(BATCH_SIZE, max_trials - start) for start in range(0, max_trials, BATCH_SIZE))
+@contextlib.contextmanager
+def _process_pool(workers):
+    """A pool of `workers` processes, or None when workers <= 1; shut down on every exit."""
     if workers <= 1:
-        yield from map(run, itertools.count(), sizes)
+        yield None
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        pending = []
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _batch_results(code, order, snr, seed, max_trials, workers, pool):
+    """Results of batches 0, 1, ... covering max_trials trials, in order.
+
+    Without a pool the batches run here, one at a time.  With one, at most
+    2 * workers batches are in flight; closing the iterator cancels those
+    of its own that have not started.  A batch already running finishes on
+    the pool, which may be serving the next grid point, and its result is
+    dropped.
+    """
+    run = functools.partial(_simulate_batch, code, order, snr, seed)
+    sizes = (min(BATCH_SIZE, max_trials - start) for start in range(0, max_trials, BATCH_SIZE))
+    if pool is None:
+        yield from map(run, itertools.count(), sizes)
+        return
+    pending = []
+    try:
         for index, size in enumerate(sizes):
             pending.append(pool.submit(run, index, size))
             if len(pending) >= 2 * workers:
@@ -409,7 +424,8 @@ def _batch_results(code, order, snr, seed, max_trials, workers):
         while pending:
             yield pending.pop(0).result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in pending:
+            future.cancel()
 
 
 def estimate_bler(
@@ -421,6 +437,8 @@ def estimate_bler(
     seed: int = 0,
     workers: int = 1,
     stats: OsdStats | None = None,
+    *,
+    _pool: ProcessPoolExecutor | None = None,
 ) -> BlerEstimate:
     """Monte Carlo BLER of osd_decode at one SNR.
 
@@ -428,7 +446,10 @@ def estimate_bler(
     min_errors block errors have been seen or max_trials is exhausted
     (checked at batch granularity).  Batch b draws its RNG from
     (seed, b), so the estimate is bit-identical for a given seed and
-    independent of the worker count.
+    independent of the worker count.  With workers > 1 the batches run on
+    _pool, which required_snr_sim shares across its grid points; called
+    without one, the estimate starts its own pool and shuts it down before
+    it returns.
     """
     if min_errors < 1 or max_trials < 1:
         raise ValueError("min_errors and max_trials must be >= 1")
@@ -436,8 +457,10 @@ def estimate_bler(
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
 
     errors = trials = patterns = 0
-    batches = _batch_results(code, order, snr, seed, max_trials, workers)
-    with contextlib.closing(batches):
+    pool_scope = _process_pool(workers) if _pool is None else contextlib.nullcontext(_pool)
+    with pool_scope as pool, contextlib.closing(
+        _batch_results(code, order, snr, seed, max_trials, workers, pool)
+    ) as batches:
         for batch_errors, batch_trials, batch_patterns in batches:
             errors += batch_errors
             trials += batch_trials
@@ -496,7 +519,8 @@ def required_snr_sim(
     A grid point is accepted when its estimate is at or below epsilon and
     the 95% upper confidence end does not exceed CI_SLACK * epsilon.  The
     sweep starts 1 dB below the normal-approximation SNR unless start_db
-    is given, and gives up (reached=False) after span_db.
+    is given, and gives up (reached=False) after span_db.  With workers > 1
+    one process pool serves every grid point.
     """
     epsilon = validate_epsilon(epsilon)
     if grid_db <= 0:
@@ -505,22 +529,24 @@ def required_snr_sim(
         start_db = required_snr(code.n, epsilon, code.k / code.n).db - 1.0
     sweep: list[BlerEstimate] = []
     points = int(math.floor(span_db / grid_db)) + 1
-    for j in range(points):
-        snr_db = start_db + j * grid_db
-        point_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(1)[0])
-        est = estimate_bler(
-            code,
-            order,
-            Snr(snr_db),
-            min_errors=min_errors,
-            max_trials=max_trials,
-            seed=point_seed,
-            workers=workers,
-            stats=stats,
-        )
-        sweep.append(est)
-        if est.bler <= epsilon and est.bler + est.ci95_halfwidth <= CI_SLACK * epsilon:
-            return SimulatedThreshold(snr_db=snr_db, reached=True, sweep=sweep)
+    with _process_pool(workers) as pool:
+        for j in range(points):
+            snr_db = start_db + j * grid_db
+            point_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(1)[0])
+            est = estimate_bler(
+                code,
+                order,
+                Snr(snr_db),
+                min_errors=min_errors,
+                max_trials=max_trials,
+                seed=point_seed,
+                workers=workers,
+                stats=stats,
+                _pool=pool,
+            )
+            sweep.append(est)
+            if est.bler <= epsilon and est.bler + est.ci95_halfwidth <= CI_SLACK * epsilon:
+                return SimulatedThreshold(snr_db=snr_db, reached=True, sweep=sweep)
     return SimulatedThreshold(snr_db=math.nan, reached=False, sweep=sweep)
 
 

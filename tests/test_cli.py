@@ -213,6 +213,22 @@ class TestSimulateCommand:
         assert "Traceback" not in proc.stderr
         assert "--grid-db" in proc.stderr
 
+    def test_snr_and_eps_together_is_domain_error(self):
+        proc = run_cli("simulate", "--code", "8x4", "--order", "0", "--eps", "1e-2",
+                       "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3", check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--snr-db" in proc.stderr and "--eps" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("mode", [("--snr-db", "3"), ("--eps", "1e-2")])
+    def test_negative_seed_names_the_flag(self, mode):
+        proc = run_cli("simulate", "--code", "8x4", "--order", "0", *mode, "--seed=-1", check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "--seed" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestScenarioCommand:
     def test_max_k_summary(self, tmp_path):

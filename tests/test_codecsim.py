@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import multiprocessing
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -291,6 +293,110 @@ class TestRequiredSnrSim:
         assert math.isnan(thr.snr_db)
         assert len(thr.sweep) == 5
 
+
+
+class _DeferredFuture(Future):
+    """Runs its call only when its result is asked for, so nothing starts unasked."""
+
+    def __init__(self, call):
+        super().__init__()
+        self._call = call
+
+    def result(self, timeout=None):
+        if self.set_running_or_notify_cancel():
+            self.set_result(self._call())
+        return super().result(timeout)
+
+
+class _DeferredPool(Executor):
+    """Stands in for ProcessPoolExecutor and records every batch submitted to it."""
+
+    def __init__(self, max_workers):
+        self.futures = []
+        self.pending_at_shutdown = None
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = _DeferredFuture(functools.partial(fn, *args, **kwargs))
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.pending_at_shutdown = [f for f in self.futures if not f.done()]
+
+
+class TestProcessPool:
+    """One pool per sweep or stand-alone estimate, shared by its grid points."""
+
+    # max_trials spans 8 batches; from 0 dB the first points stop after one
+    # batch with the next ones in flight, the last ones run up to 7 batches
+    SWEEP = dict(grid_db=0.5, min_errors=50, max_trials=4096, seed=7, start_db=0.0)
+
+    @pytest.fixture
+    def built_pools(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(codecsim, "ProcessPoolExecutor", CountingPool)
+        return pools
+
+    @pytest.fixture
+    def deferred_pools(self, monkeypatch):
+        pools = []
+
+        def build(max_workers):
+            pools.append(_DeferredPool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(codecsim, "ProcessPoolExecutor", build)
+        return pools
+
+    def test_sweep_builds_one_pool(self, code84, built_pools):
+        thr = required_snr_sim(code84, 0, 2e-2, workers=2, **self.SWEEP)
+        assert len(thr.sweep) >= 3
+        assert len(built_pools) == 1
+
+    def test_estimate_builds_its_own_pool(self, code84, built_pools):
+        estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=4096, seed=7, workers=2)
+        assert len(built_pools) == 1
+
+    def test_serial_runs_build_no_pool(self, code84, built_pools):
+        required_snr_sim(code84, 0, 2e-2, workers=1, **self.SWEEP)
+        assert built_pools == []
+
+    def test_sweep_identical_for_any_worker_count(self, code84):
+        sweeps = [required_snr_sim(code84, 0, 2e-2, workers=w, **self.SWEEP) for w in (1, 2, 3)]
+        assert sweeps[0].reached
+        assert {est.trials for est in sweeps[0].sweep} >= {512, 2048}
+        assert sweeps[1] == sweeps[0]
+        assert sweeps[2] == sweeps[0]
+
+    def test_early_stop_cancels_its_unstarted_batches(self, code84, deferred_pools):
+        serial = required_snr_sim(code84, 0, 2e-2, workers=1, **self.SWEEP)
+        pooled = required_snr_sim(code84, 0, 2e-2, workers=2, **self.SWEEP)
+        assert pooled == serial
+        (pool,) = deferred_pools
+        assert pool.pending_at_shutdown == []
+        assert sum(f.cancelled() for f in pool.futures) > 0
+        ran = sum(not f.cancelled() for f in pool.futures)
+        assert ran == sum(-(-est.trials // codecsim.BATCH_SIZE) for est in serial.sweep)
+
+    def test_early_stopped_estimate_cancels_before_shutdown(self, code84, deferred_pools):
+        est = estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=4096, seed=7, workers=2)
+        assert est.trials == codecsim.BATCH_SIZE
+        (pool,) = deferred_pools
+        assert [f.cancelled() for f in pool.futures] == [False, True, True, True]
+        assert pool.pending_at_shutdown == []
+
+    def test_no_worker_outlives_its_run(self, code84):
+        required_snr_sim(code84, 0, 2e-2, workers=2, **self.SWEEP)
+        assert multiprocessing.active_children() == []
+        est = estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=4096, seed=7, workers=2)
+        assert est.trials < 4096
+        assert multiprocessing.active_children() == []
 
 KERNEL_CODES = ((8, 4), (16, 7), (32, 16), (64, 36), (128, 64))
 

@@ -24,8 +24,9 @@ seeded simulations, a `tradeoff --fit` document read back through
 --params-file, and usage/domain errors (a reversed lo:hi pair, max-k
 without a finite blocklength range, empty default blocklength ranges,
 flags a scenario does not read, blocklengths below 2, an oversized
-max-rate rate grid, SNRs and power caps past the linear SNR scale and
-sweep grids that are not finite, positive and bounded among them).
+max-rate rate grid, SNRs and power caps past the linear SNR scale,
+sweep grids that are not finite, positive and bounded, `simulate` with
+both --snr-db and --eps, and negative seeds among them).
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(sim + ("--order", "0", "--snr-db=-1e308"))
     for grid in ("1e-12", "nan", "inf", "0"):
         cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--grid-db", grid, "--max-trials", "10"))
+    # both modes at once, and a negative seed in either mode
+    cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3"))
+    cmds.append(sim + ("--order", "0", "--snr-db", "3", "--seed=-1"))
+    cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--seed=-1", "--max-trials", "10"))
 
     scn = ("scenario", "--which")
     for eps in EPSILONS:

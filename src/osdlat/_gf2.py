@@ -1,8 +1,10 @@
-"""Gauss-Jordan elimination over GF(2) on bit-packed rows.
+"""Gauss-Jordan elimination over GF(2) on bit-packed vectors.
 
-A row of n bits is packed into ceil(n / 64) uint64 words in column order:
-column c is bit c % 64 of word c // 64.  Row operations are then XORs of
-whole words (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 2010).
+A vector of n bits is packed into ceil(n / 64) uint64 words: bit c is bit
+c % 64 of word c // 64 (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS
+2010).  The elimination holds a matrix as its packed columns, so adding
+row p to the rows in a mask is, in every column that holds bit p, one XOR
+of the column's words with the mask.
 """
 
 from __future__ import annotations
@@ -32,59 +34,65 @@ def xor_rows(rows: np.ndarray, select: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.where(select[..., None], rows, np.uint64(0)), axis=-2)
 
 
-def systematic_with_permutation(rows: np.ndarray, col_orders: np.ndarray):
-    """Reduce packed rows to systematic form, once per column preference order.
+def systematic_with_permutation(columns: np.ndarray, height: int, col_orders: np.ndarray, tail=None):
+    """Reduce the packed columns of a matrix, once per column preference order.
 
-    rows is a (k, W) packed matrix and col_orders a (B, n) array holding one
-    preference order of the n columns per reduction.  Each reduction tries
-    the columns in its order: a column becomes a pivot when a row that is
-    not yet a pivot row holds its bit; the first such row is the pivot row,
-    and it is XORed into every other row holding the bit.  A reduction is
-    done once it has k pivots, so its pivots are the first k independent
-    columns of its order.
+    columns is the (n, W) array of the packed columns of a matrix with
+    `height` rows, and col_orders a (B, n) array holding one preference
+    order of the n columns per reduction.  Each reduction takes the columns
+    in its order.  A column becomes a pivot when it holds a row bit that no
+    earlier pivot took: its pivot row is the lowest such bit, and that row
+    is XORed into the column's other rows, which makes the column a unit
+    vector.  Only the columns still ahead change, since every earlier
+    column is zero on the rows still free.  After `height` pivots a
+    reduction stops changing, so its pivots are the first independent
+    columns of its order, and every other column holds its coordinates on
+    them, bit r standing for the pivot column of row r.
 
-    Returns (sys, pivots): sys is (B, k, W) with row i of reduction b
-    pivoting on column pivots[b, i] and zero on its other pivot columns,
-    and pivots (B, k) lists the pivot columns in preference order.  For a
-    fixed pivot set this systematic form is unique.  Raises ValueError if
-    the matrix has fewer independent columns than rows.
+    The state is held as (n, W, B), so that each word of column t of every
+    reduction is one contiguous run.  tail, a (B, W) array, is one more
+    column per reduction that is reduced along with the others but never
+    becomes a pivot.
+
+    Returns (reduced, rows): reduced[t, b] is column col_orders[b, t] of
+    reduction b after it (and reduced[n, b] the tail, if given), and
+    rows[t, b] is the pivot row of that column, or -1 where it depends on
+    the pivots before it.  For a fixed pivot set the reduced form is
+    unique.  Raises ValueError if the matrix has fewer than `height`
+    independent columns.
     """
     col_orders = np.asarray(col_orders, dtype=np.intp)
     batch, n = col_orders.shape
-    k = rows.shape[0]
-    sys = np.empty((batch,) + rows.shape, dtype=rows.dtype)
-    # pivot_row[b, t] is the row that column col_orders[b, t] pivots, if found[b, t]
-    pivot_row = np.zeros((batch, n), dtype=np.intp)
-    found = np.zeros((batch, n), dtype=bool)
-    # state of the reductions still running; a finished one leaves the loop
-    live = np.arange(batch)
-    index = np.arange(batch)
-    m = np.repeat(rows[None], batch, axis=0)
-    free = np.ones((batch, k), dtype=bool)
-    word = col_orders // WORD_BITS
-    bit = np.left_shift(np.uint64(1), (col_orders % WORD_BITS).astype(np.uint64))
+    nwords = columns.shape[1]
+    state = np.empty((n + (tail is not None), nwords, batch), dtype=np.uint64)
+    for w in range(nwords):
+        state[:n, w] = columns[col_orders.T, w]
+    if tail is not None:
+        state[n] = tail.T
+    # bit r of the free mask is set while row r has no pivot
+    free_rows = [(1 << min(WORD_BITS, height - WORD_BITS * w)) - 1 for w in range(nwords)]
+    free = np.repeat(np.array(free_rows, dtype=np.uint64)[:, None], batch, axis=1)
+    pivot_bits = np.zeros((n, nwords, batch), dtype=np.uint64)
     for t in range(n):
-        held = (m[index, :, word[:, t]] & bit[:, t, None]) != 0
-        candidates = held & free
-        p = candidates.argmax(axis=1)
-        hit = candidates[index, p]
-        # the pivot row, or zeros where the column is dependent, goes into
-        # every other row holding the bit
-        held[index, p] = False
-        m ^= held[:, :, None] * (m[index, p] * hit[:, None])[:, None, :]
-        free[index, p] ^= hit
-        pivot_row[live, t] = p
-        found[live, t] = hit
-        if t >= k - 1:
-            done = ~free.any(axis=1)
-            if done.any():
-                sys[live[done]] = m[done]
-                live, m, free, word, bit = (a[~done] for a in (live, m, free, word, bit))
-                index = np.arange(len(live))
-                if not len(live):
-                    break
-    if len(live):
+        if t >= height and not free.any():
+            break
+        column = state[t]
+        held = column & free
+        # the lowest set bit of each word, kept in the first word that has one
+        low = held & -held
+        np.copyto(low[1:], 0, where=np.logical_or.accumulate(held != 0)[:-1])
+        free ^= low
+        pivot_bits[t] = low
+        # the columns ahead holding the pivot bit take the column's other bits
+        ahead = state[t + 1 :]
+        ahead ^= np.logical_or.reduce(ahead & low, axis=1, keepdims=True) * (column ^ low)
+    if free.any():
         raise ValueError("matrix does not have full row rank over GF(2)")
-    # found has k entries per row, in step order: the pivots in preference order
-    by_step = pivot_row[found].reshape(batch, k)
-    return sys[np.arange(batch)[:, None], by_step], col_orders[found].reshape(batch, k)
+    found = pivot_bits != 0
+    pivot = found.any(axis=1)
+    # a pivot column is the unit vector of its row
+    np.copyto(state[:n], pivot_bits, where=pivot[:, None])
+    offsets = WORD_BITS * np.arange(nwords)[:, None]
+    rows = np.where(found, np.bitwise_count(pivot_bits - np.uint64(1)) + offsets, 0).sum(axis=1)
+    rows[~pivot] = -1
+    return state.transpose(0, 2, 1), rows

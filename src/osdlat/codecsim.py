@@ -5,10 +5,11 @@ a union of cyclotomic cosets of GF(2^m) as its roots and every codeword
 gets an overall parity bit, so n is a power of two.  The decoder is order-s
 ordered-statistics decoding on the most-reliable basis, scoring every
 error pattern of weight <= s by Euclidean distance to the received
-vector.  BLER estimation runs seeded, batched trials; batches own
-independent RNG streams derived from (seed, batch index), so results are
-bit-identical for a given seed regardless of how many workers execute
-the batches.
+vector.  It works in syndrome form, on (n-k)-bit words of the reduced
+parity-check matrix.  BLER estimation runs seeded, batched trials;
+batches own independent RNG streams derived from (seed, batch index), so
+results are bit-identical for a given seed regardless of how many
+workers execute the batches.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class CodeSpec:
     d_min: int
     generator: np.ndarray
     construction: str = "raw"
-    _recovery: tuple | None = field(default=None, repr=False, compare=False)
+    _reduced: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def build_ebch(n: int, k: int) -> CodeSpec:
@@ -143,10 +144,10 @@ def build_ebch(n: int, k: int) -> CodeSpec:
         rows[r, r : r + target + 1] = gen
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
     try:
-        recovery = _recovery_map(rows)
+        reduced = _reduce_generator(rows)
     except ValueError:
         raise ConstructionError(f"generator for (n={n}, k={k}) is rank deficient") from None
-    return CodeSpec(n=n, k=k, d_min=d_min, generator=rows, construction="ebch", _recovery=recovery)
+    return CodeSpec(n=n, k=k, d_min=d_min, generator=rows, construction="ebch", _reduced=reduced)
 
 
 def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
@@ -157,27 +158,42 @@ def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
     return (msg.astype(np.int32) @ code.generator.astype(np.int32) % 2).astype(np.uint8)
 
 
-def _recovery_map(generator: np.ndarray):
-    """Column set J and the packed rows of inv(G[:, J]), for codeword -> message.
+def _reduce_generator(generator: np.ndarray):
+    """(J, packed rows of inv(G[:, J]), packed columns of a parity-check matrix H).
 
-    One elimination of [G | I_k] in column order: the pivots land on the
-    first k independent columns J of G, and the identity block ends up
-    holding inv(G[:, J]).  A pivot inside the identity block means G is
-    rank deficient: ValueError.
+    One elimination of the columns of [G | I_k] in column order turns it
+    into T [G | I_k]: the pivots land on the first k independent columns J
+    of G, every other column j of G holds its coordinates on G[:, J], and
+    the identity block holds T, whose rows in pivot order are inv(G[:, J]).
+    Column j's coordinates give the parity check c_j = sum of c_J over
+    them, one row of H.  A pivot inside the identity block means G is rank
+    deficient: ValueError.
     """
     k, n = generator.shape
     aug = np.concatenate([generator, np.eye(k, dtype=np.uint8)], axis=1)
-    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(aug), np.arange(n + k)[None, :])
+    reduced, rows = _gf2.systematic_with_permutation(_gf2.pack(aug.T), k, np.arange(n + k)[None, :])
+    reduced, rows = _gf2.unpack(reduced[:, 0], k), rows[:, 0]
+    pivots = np.flatnonzero(rows >= 0)
     if pivots.max() >= n:
         raise ValueError("generator does not have full row rank over GF(2)")
-    return pivots[0], _gf2.pack(_gf2.unpack(sys[0], n + k)[:, n:])
+    pivot_rows = rows[pivots]
+    others = np.flatnonzero(rows[:n] < 0)
+    checks = np.zeros((n - k, n), dtype=np.uint8)
+    checks[np.arange(n - k), others] = 1
+    checks[:, pivots] = reduced[np.ix_(others, pivot_rows)]
+    return pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
+
+
+def _reduction(code: CodeSpec):
+    """The code's _reduce_generator result, computed on first use."""
+    if code._reduced is None:
+        code._reduced = _reduce_generator(code.generator)
+    return code._reduced
 
 
 def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
     """The unique message encoding to the given codeword (n,), or to each row of (B, n)."""
-    if code._recovery is None:
-        code._recovery = _recovery_map(code.generator)
-    j_cols, inverse = code._recovery
+    j_cols, inverse, _ = _reduction(code)
     return _gf2.unpack(_gf2.xor_rows(inverse, codeword[..., j_cols] != 0), code.k)
 
 
@@ -226,11 +242,11 @@ class OsdStats:
 
 _PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 # Words scored together, and candidates scored at once.  Measured with
-# tracemalloc on 512 words, the search of one slice peaks at 2.7 MB at
-# eBCH(128,64) s = 2 and 5.5 MB at eBCH(256,247) s = 1, mostly byte
-# tables; the elimination, which runs on the whole batch, peaks at 4.0 and
-# 16 MB.  Scoring all 512 words at once would take the decode from 5.0 to
-# 20 MB at n = 128.
+# tracemalloc on 512 words, the search of one slice peaks at 1.5 MB at
+# eBCH(128,64) s = 2 and 0.8 MB at eBCH(256,247) s = 1, mostly byte
+# tables; the elimination, which runs on the whole batch, peaks at 2.2 and
+# 4.3 MB.  Scoring all 512 words at once would take the decode from 5.3 to
+# 13 MB at n = 128.
 _CHUNK_WORDS = 64
 _SCORE_CANDIDATES = 8192
 
@@ -254,43 +270,46 @@ def _pattern_positions(k: int, order: int) -> np.ndarray:
     return _PATTERN_CACHE[key]
 
 
-def _search(base_diff: np.ndarray, sys: np.ndarray, reliability: np.ndarray, patterns) -> np.ndarray:
-    """The best candidate's difference from the hard decisions, per word.
+def _search(syndrome, columns, row_weights, basis_weights, patterns):
+    """The best candidate per word: (its (n-k)-bit difference word, its pattern index).
 
-    A candidate's difference is base_diff (B, W), the order-0 candidate's,
-    XOR the systematic rows its pattern flips.  Its score is read byte by
-    byte from tables[j, 256 * b + v], the sum of |y| of word b over the
-    bits of value v at byte j.
+    A candidate's difference from the hard decisions is its pattern on
+    the basis and, on the rest, syndrome (B, W) XOR the reduced columns
+    (B, k, W) its pattern flips.  It scores the |y| of its flipped basis
+    positions, basis_weights (B, k), plus the |y| of the set bits of its
+    word, read byte by byte from tables[j, 256 * b + v], the sum of
+    row_weights of word b over the bits of value v at byte j.
     """
-    batch, n = reliability.shape
-    nbytes = -(-n // 8)
+    batch, height = row_weights.shape
+    nbytes = -(-height // 8)
     padded = np.zeros((batch, nbytes * 8))
-    padded[:, :n] = reliability
+    padded[:, :height] = row_weights
     by_byte = padded.reshape(batch, nbytes, 8).transpose(1, 0, 2)
     tables = np.zeros((nbytes, batch, 256))
     for i in range(8):
         np.add(tables[:, :, : 1 << i], by_byte[:, :, i, None], out=tables[:, :, 1 << i : 2 << i])
     tables = tables.reshape(nbytes, batch * 256)
     offsets = 256 * np.arange(batch)[:, None]
-    rows = np.concatenate([sys, np.zeros_like(sys[:, :1])], axis=1)
+    # pattern entry k pads a pattern of lower weight: no column, no cost
+    columns = np.concatenate([columns, np.zeros_like(columns[:, :1])], axis=1)
+    costs = np.concatenate([basis_weights, np.zeros((batch, 1))], axis=1)
     words = np.arange(batch)
-    best_diff, best = base_diff.copy(), np.full(batch, np.inf)
+    best_word, best_pattern, best = syndrome.copy(), np.zeros(batch, dtype=np.intp), np.full(batch, np.inf)
     block = max(1, _SCORE_CANDIDATES // batch)
     for lo in range(0, len(patterns), block):
-        flips = patterns[lo : lo + block]
-        diffs = np.take(rows, flips[:, 0], axis=1)
-        diffs ^= base_diff[:, None, :]
-        for column in flips.T[1:]:
-            diffs ^= np.take(rows, column, axis=1)
+        flips = patterns[lo : lo + block].T
+        diffs = np.bitwise_xor.reduce(np.take(columns, flips, axis=1), axis=1)
+        diffs ^= syndrome[:, None, :]
+        scores = np.take(costs, flips, axis=1).sum(axis=1)
         byte_values = diffs.astype("<u8", copy=False).view(np.uint8)
-        scores = tables[0][byte_values[:, :, 0] + offsets]
-        for j in range(1, nbytes):
-            scores += tables[j][byte_values[:, :, j] + offsets]
+        for j in range(nbytes):
+            scores += np.take(tables[j], byte_values[:, :, j] + offsets)
         pick = scores.argmin(axis=1)
         better = scores[words, pick] < best
         best = np.where(better, scores[words, pick], best)
-        best_diff[better] = diffs[better, pick[better]]
-    return best_diff
+        best_word[better] = diffs[better, pick[better]]
+        best_pattern[better] = lo + pick[better]
+    return best_word, best_pattern
 
 
 def osd_decode(
@@ -310,30 +329,55 @@ def osd_decode(
     the sum of |y_i| over the positions where it differs from the hard
     decisions: for BPSK its squared distance to y is
     sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking is the same.  The
-    first minimum in enumeration order wins.  The ordering, elimination
-    and order-0 candidate run once over the whole batch; the search scores
-    _CHUNK_WORDS words at a time, so its byte tables do not grow with B.
+    first minimum in enumeration order wins.
+
+    The decoder works in syndrome form.  It reduces the parity-check
+    matrix H along the exact reverse of the ranking: the first n-k
+    independent columns are the least reliable basis, by matroid duality
+    the complement of the most reliable one.  Every other column, and the
+    syndrome of the hard decisions, then holds its coordinates on that
+    basis.  So a candidate differs from the hard decisions in its pattern
+    on the basis and, on the rest, in the syndrome XOR the columns its
+    pattern flips.  The ordering and elimination run once over the whole
+    batch; the search scores _CHUNK_WORDS words at a time, so its byte
+    tables do not grow with B.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
     y = np.atleast_2d(rx.y)
+    batch, n = y.shape
+    height = n - code.k
+    words = np.arange(batch)[:, None]
     reliability = np.abs(y)
-    order_by_reliability = np.argsort(-reliability, axis=1, kind="stable")
-    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(code.generator), order_by_reliability)
+    least_reliable_first = np.argsort(-reliability, axis=1, kind="stable")[:, ::-1]
     hard = y < 0
-    decision = _gf2.xor_rows(sys, hard[np.arange(len(y))[:, None], pivots])
+    checks = _reduction(code)[2]
+    reduced, rows = _gf2.systematic_with_permutation(
+        checks, height, least_reliable_first, tail=_gf2.xor_rows(checks, hard)
+    )
+    # steps by role: the least reliable basis by pivot row, then the most
+    # reliable basis, the steps without a pivot, last (most reliable) first
+    by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
+    positions = least_reliable_first[words, by_role]
+    weights = reliability[words, positions]
+    patterns = _pattern_positions(code.k, order)
+    syndrome = reduced[n]
+    best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
     if order > 0:
-        hard_words = _gf2.pack(hard)
-        patterns = _pattern_positions(code.k, order)
-        diff = decision ^ hard_words
-        for lo in range(0, len(y), _CHUNK_WORDS):
+        columns = reduced[by_role[:, height:], words]
+        for lo in range(0, batch, _CHUNK_WORDS):
             part = slice(lo, lo + _CHUNK_WORDS)
-            diff[part] = _search(diff[part], sys[part], reliability[part], patterns)
-        decision = diff ^ hard_words
-    cw = _gf2.unpack(decision, code.n).reshape(np.shape(rx.y))
+            best_word[part], best_pattern[part] = _search(
+                syndrome[part], columns[part], weights[part, :height], weights[part, height:], patterns
+            )
+    flipped = np.zeros((batch, code.k + 1), dtype=bool)
+    flipped[words, patterns[best_pattern]] = True
+    diff = np.empty((batch, n), dtype=bool)
+    diff[words, positions] = np.concatenate([_gf2.unpack(best_word, height), flipped[:, : code.k]], axis=1)
+    cw = (hard ^ diff).astype(np.uint8).reshape(np.shape(rx.y))
     if stats is not None:
         stats.decodes += len(y)
-        stats.patterns_evaluated += len(y) * len(_pattern_positions(code.k, order))
+        stats.patterns_evaluated += len(y) * len(patterns)
     return message_from_codeword(code, cw), cw
 
 
@@ -369,19 +413,43 @@ class BlerEstimate:
         return self.errors == 0
 
 
+def _trial_draws(rng: np.random.Generator, k: int, n: int, size: int):
+    """Messages (size, k) and noise (size, n) of `size` trials, as drawn one by one.
+
+    Trial i draws rng.integers(0, 2, k, dtype=np.uint8) and then
+    rng.standard_normal(n).  Each of those message bits is the top bit of
+    one byte of the generator's uint32 stream, four bytes to a uint32,
+    least significant first, and a call starts on a fresh uint32; so trial
+    i takes uint32s [i * u, (i + 1) * u), u = ceil(k / 4), of one stream.
+    PCG64 makes that stream from raw 64-bit draws, low half first, and
+    keeps the high half buffered for the next uint32; standard_normal
+    takes raw draws and leaves that buffer alone.  So each trial takes the
+    raw draws its uint32s need before its noise, and the bits are cut out
+    of all of them at the end.
+    """
+    u = -(-k // 4)
+    raw = np.empty(-(-size * u // 2), dtype="<u8")
+    noise = np.empty((size, n))
+    drawn = 0
+    for i in range(size):
+        end = -(-(i + 1) * u // 2)
+        raw[drawn:end] = rng.bit_generator.random_raw(end - drawn)
+        drawn = end
+        rng.standard_normal(out=noise[i])
+    message_bytes = raw.view("<u4")[: size * u].reshape(size, u).view(np.uint8)[:, :k]
+    return message_bytes >= 128, noise
+
+
 def _simulate_batch(code, order, snr, seed, batch_index, size):
     """(errors, trials, patterns) of one batch of trials.
 
-    Each trial draws its message and then its noise, in trial order; the
-    whole batch is then encoded, transmitted and decoded at once, and an
-    error is a decoded codeword differing from the sent one.
+    Each trial draws its message and then its noise, in trial order
+    (_trial_draws); the whole batch is then encoded, transmitted and
+    decoded at once, and an error is a decoded codeword differing from
+    the sent one.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    messages = np.empty((size, code.k), dtype=bool)
-    noise = np.empty((size, code.n))
-    for i in range(size):
-        messages[i] = rng.integers(0, 2, code.k, dtype=np.uint8)
-        noise[i] = rng.standard_normal(code.n)
+    messages, noise = _trial_draws(rng, code.k, code.n, size)
     codewords = _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), messages), code.n)
     _, decided = osd_decode(code, ReceivedWord(y=_bpsk_awgn(codewords, snr, noise)), order)
     errors = int(np.any(decided != codewords, axis=1).sum())

@@ -44,11 +44,19 @@ class TestConstruction:
         code = build_ebch(n, k)
         assert code.d_min == d_min
         assert code.generator.shape == (k, n)
-        generator = _gf2.pack(code.generator)
-        sys, pivots = _gf2.systematic_with_permutation(generator, np.arange(n)[None, :])
-        assert np.array_equal(_gf2.unpack(sys[0], n)[:, :k], np.eye(k, dtype=np.uint8))
-        assert np.array_equal(pivots[0], np.arange(k))
+        reduced, rows = _gf2.systematic_with_permutation(_gf2.pack(code.generator.T), k, np.arange(n)[None, :])
+        assert np.array_equal(_gf2.unpack(reduced[:k, 0], k), np.eye(k, dtype=np.uint8))
+        assert np.array_equal(rows[:, 0], np.r_[np.arange(k), np.full(n - k, -1)])
         assert code.construction == "ebch"
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (64, 57), (128, 57), (256, 247)])
+    def test_parity_checks_span_the_dual(self, n, k):
+        code = build_ebch(n, k)
+        checks = _gf2.unpack(codecsim._reduction(code)[2], n - k).T
+        assert checks.shape == (n - k, n)
+        assert not (code.generator.astype(np.int64) @ checks.T % 2).any()
+        # full rank: n - k independent checks
+        osd_reference.systematic_with_permutation(checks, np.arange(n))
 
     def test_overall_parity_column(self, code6436):
         g = code6436.generator
@@ -398,7 +406,8 @@ class TestProcessPool:
         assert est.trials < 4096
         assert multiprocessing.active_children() == []
 
-KERNEL_CODES = ((8, 4), (16, 7), (32, 16), (64, 36), (128, 64))
+# (64,57) has n - k = 7 parity bits, (128,57) 71, two words per column
+KERNEL_CODES = ((8, 4), (16, 7), (32, 16), (64, 36), (128, 64), (64, 57), (128, 57))
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,3 +487,35 @@ class TestOsdKernel:
             assert errors > 0
             result = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
             assert result == (errors, size, size * pattern_count(k, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KERNEL_CODES), st.integers(0, 2**32 - 1))
+    def test_parity_basis_is_complement_of_reference_basis(self, nk, seed):
+        # matroid duality: H's first n-k independent columns along the reverse
+        # of an order are the complement of G's first k along the order
+        code = kernel_code(*nk)
+        n, k = nk
+        order = np.random.default_rng(seed).permutation(n)
+        _, perm = osd_reference.systematic_with_permutation(code.generator, order)
+        checks = codecsim._reduction(code)[2]
+        _, rows = _gf2.systematic_with_permutation(checks, n - k, order[None, ::-1])
+        basis = order[::-1][rows[:, 0] < 0][::-1]
+        assert np.array_equal(basis, perm[:k])
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 7, 36, 57, 64, 120, 247])
+    @pytest.mark.parametrize("size", [1, 2, 5, 512])
+    def test_equal_to_per_trial_draws(self, k, size):
+        # the specification: one integers call and one standard_normal call per trial
+        n = 16
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=k, spawn_key=(size,)))
+        messages = np.empty((size, k), dtype=np.uint8)
+        noise = np.empty((size, n))
+        for i in range(size):
+            messages[i] = rng.integers(0, 2, k, dtype=np.uint8)
+            noise[i] = rng.standard_normal(n)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=k, spawn_key=(size,)))
+        got_messages, got_noise = codecsim._trial_draws(rng, k, n, size)
+        assert np.array_equal(got_messages, messages.astype(bool))
+        assert np.array_equal(got_noise.view(np.uint64), noise.view(np.uint64))

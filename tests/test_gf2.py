@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import osd_reference
 import pytest
@@ -10,32 +8,40 @@ from osdlat import _gf2
 
 
 @st.composite
-def matrices_and_orders(draw, max_n=16):
-    """A random k x n GF(2) matrix, k <= 6, n <= max_n, and a column order."""
-    k = draw(st.integers(1, 6))
-    n = draw(st.integers(k, max_n))
-    bits = draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n))
-    order = draw(st.permutations(range(n)))
-    return np.array(bits, dtype=np.uint8).reshape(k, n), np.array(order)
+def matrices_and_orders(draw, max_k=70, max_n=80):
+    """A random k x n GF(2) matrix and a column order.
 
-
-def row_space(matrix):
-    """Every GF(2) combination of the rows, as a set of byte strings."""
-    k = matrix.shape[0]
-    return {
-        (np.array(coeffs, dtype=np.int64) @ matrix % 2).astype(np.uint8).tobytes()
-        for coeffs in itertools.product((0, 1), repeat=k)
-    }
+    k runs past 64, so that columns take one or two words.  A density
+    near 0 or 1 makes rank deficiency likely."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(k, max(k, max_n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.5, 0.95)))
+    matrix = (rng.random((k, n)) < density).astype(np.uint8)
+    return matrix, rng.permutation(n)
 
 
 def full_rank(matrix):
-    return len(row_space(matrix)) == 2 ** matrix.shape[0]
+    try:
+        osd_reference.systematic_with_permutation(matrix, np.arange(matrix.shape[1]))
+    except ValueError:
+        return False
+    return True
+
+
+def reduce(matrix, orders, tail=None):
+    """The packed elimination of the matrix's columns under each order."""
+    return _gf2.systematic_with_permutation(_gf2.pack(matrix.T), matrix.shape[0], np.asarray(orders), tail)
 
 
 def packed_systematic(matrix, order):
-    """The packed elimination of one matrix under one order, unpacked."""
-    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(matrix), np.asarray(order)[None, :])
-    return _gf2.unpack(sys[0], matrix.shape[1]), pivots[0]
+    """One reduction as a dense systematic matrix, row i pivoting on pivot i, and its pivots."""
+    k, n = matrix.shape
+    reduced, rows = reduce(matrix, [order])
+    steps = np.flatnonzero(rows[:, 0] >= 0)
+    dense = np.empty((k, n), dtype=np.uint8)
+    dense[:, order] = _gf2.unpack(reduced[:n, 0], k).T
+    return dense[rows[steps, 0]], np.asarray(order)[steps]
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,8 +68,8 @@ def test_elimination_or_rank_error(case):
     # the pivots come in preference order
     rank_in_order = np.argsort(order)[pivots]
     assert np.all(np.diff(rank_in_order) > 0)
-    space = row_space(matrix)
-    assert all(row.tobytes() in space for row in sys)
+    # every column is the XOR of the input's pivot columns its reduced column names
+    assert np.array_equal(matrix[:, pivots] @ sys.astype(np.int64) % 2, matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,16 +102,23 @@ def test_matches_reference_elimination(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices_and_orders(max_n=70), st.data())
+@given(matrices_and_orders(), st.data())
 def test_batch_equals_single_reductions(case, data):
-    # n up to 70 covers two-word rows; reductions finish at different steps
+    # reductions finish at different steps; the tail is never a pivot
     matrix, first = case
     if not full_rank(matrix):
         return
-    more = data.draw(st.lists(st.permutations(range(matrix.shape[1])), max_size=5))
-    orders = [list(first)] + more
-    sys, pivots = _gf2.systematic_with_permutation(_gf2.pack(matrix), np.array(orders))
+    k, n = matrix.shape
+    more = data.draw(st.lists(st.permutations(range(n)), max_size=5))
+    orders = np.array([list(first)] + more)
+    tails = np.random.default_rng(n).integers(0, 2, (len(orders), k), dtype=np.uint8)
+    reduced, rows = reduce(matrix, orders, _gf2.pack(tails))
     for b, order in enumerate(orders):
-        single_sys, single_pivots = packed_systematic(matrix, order)
-        assert np.array_equal(_gf2.unpack(sys[b], matrix.shape[1]), single_sys)
-        assert np.array_equal(pivots[b], single_pivots)
+        single, single_rows = reduce(matrix, [order])
+        assert np.array_equal(reduced[:n, b], single[:, 0])
+        assert np.array_equal(rows[:, b], single_rows[:, 0])
+        # the tail holds its coordinates on the pivot columns, by pivot row
+        pivot_of_row = np.empty(k, dtype=np.intp)
+        pivot_of_row[rows[rows[:, b] >= 0, b]] = order[rows[:, b] >= 0]
+        coords = _gf2.unpack(reduced[n, b], k)
+        assert np.array_equal(matrix[:, pivot_of_row] @ coords % 2, tails[b])

@@ -24,11 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from osdlat import _gf2
-from osdlat.fblmath import (
-    Snr,
-    required_snr,
-    validate_epsilon,
-)
+from osdlat.fblmath import Snr, required_snr, validate_epsilon
 
 SWEEP_CSV_COLUMNS = ("snr_db", "s", "trials", "errors", "bler", "ci95")
 # Trials per batch; batch b draws its RNG from (seed, b), so this is part of the stream.
@@ -234,44 +230,58 @@ def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Gene
 
 @dataclass
 class OsdStats:
-    """Instrumentation of the decoder's pattern-search work."""
+    """Decoder work: words, patterns enumerated (all of them, as in the paper's
+    cost model) and candidates scored after the search's exact skips."""
 
     decodes: int = 0
     patterns_evaluated: int = 0
+    candidates_scored: int = 0
+
+    def add(self, other: OsdStats) -> None:
+        """Add other's counts to these."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
-_PATTERN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-# Words scored together, and candidates scored at once.  Measured with
-# tracemalloc on 512 words, the search of one slice peaks at 1.5 MB at
-# eBCH(128,64) s = 2 and 0.8 MB at eBCH(256,247) s = 1, mostly byte
-# tables; the elimination, which runs on the whole batch, peaks at 2.2 and
-# 4.3 MB.  Scoring all 512 words at once would take the decode from 5.3 to
-# 13 MB at n = 128.
+_PATTERN_CACHE: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
+# Words scored together, and candidates scored at once.  On 512 words
+# (tracemalloc), one slice's search peaks at 1.5 MB at eBCH(128,64) s = 2,
+# mostly byte tables; scoring all 512 at once would take the decode from
+# 5.3 to 13 MB.
 _CHUNK_WORDS = 64
 _SCORE_CANDIDATES = 8192
 
 
-def _pattern_positions(k: int, order: int) -> np.ndarray:
-    """Flip positions of every error pattern of weight <= order, one row each.
+def _pattern_positions(k: int, order: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(flip positions of each error pattern of weight <= order, one row each, starts).
 
-    Rows run by ascending weight and lexicographically within a weight,
-    which is also the decoder's tie-breaking order.  Rows have max(order,
-    1) entries: a pattern of lower weight is padded with position k,
-    which names an all-zero row, so row 0 is the all-zero pattern.
+    Rows run by ascending weight, weight w over rows starts[w] to
+    starts[w + 1], and lexicographically within a weight: the decoder's
+    tie-breaking order.  Rows have max(order, 1) entries; a pattern of
+    lower weight is padded with position k, which names an all-zero row.
     """
     key = (k, order)
     if key not in _PATTERN_CACHE:
         width = max(order, 1)
+        starts = itertools.accumulate((math.comb(k, w) for w in range(order + 1)), initial=0)
         _PATTERN_CACHE[key] = np.array([
             flips + (k,) * (width - w)
             for w in range(order + 1)
             for flips in itertools.combinations(range(k), w)
-        ], dtype=np.intp)
+        ], dtype=np.intp), tuple(starts)
     return _PATTERN_CACHE[key]
 
 
-def _search(syndrome, columns, row_weights, basis_weights, patterns):
-    """The best candidate per word: (its (n-k)-bit difference word, its pattern index).
+def _flip_costs(costs, flips):
+    """Flip costs (B, m) of the patterns in the columns of flips (width, m), summed row by row."""
+    total = np.take(costs, flips[0], axis=1)
+    for row in flips[1:]:
+        total += np.take(costs, row, axis=1)
+    return total
+
+
+def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
+    """The best candidate per word: (its (n-k)-bit difference word, its pattern index, candidates scored).
 
     A candidate's difference from the hard decisions is its pattern on
     the basis and, on the rest, syndrome (B, W) XOR the reduced columns
@@ -279,6 +289,15 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns):
     positions, basis_weights (B, k), plus the |y| of the set bits of its
     word, read byte by byte from tables[j, 256 * b + v], the sum of
     row_weights of word b over the bits of value v at byte j.
+
+    Every word scores weight 0.  Later, a word skips weights w and up once
+    its floor, the flip cost of weight w's last pattern, is >= its best
+    score.  That pattern flips the w least reliable basis positions, as
+    basis_weights do not increase, so every term of a pattern of weight
+    >= w is at least as large; float addition is monotone, the lookups
+    add terms >= 0, and only a strictly lower score replaces the best, so
+    no decision changes, ties included.  Weights that fit in one block
+    share a pass.
     """
     batch, height = row_weights.shape
     nbytes = -(-height // 8)
@@ -289,35 +308,40 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns):
     for i in range(8):
         np.add(tables[:, :, : 1 << i], by_byte[:, :, i, None], out=tables[:, :, 1 << i : 2 << i])
     tables = tables.reshape(nbytes, batch * 256)
-    offsets = 256 * np.arange(batch)[:, None]
     # pattern entry k pads a pattern of lower weight: no column, no cost
     columns = np.concatenate([columns, np.zeros_like(columns[:, :1])], axis=1)
     costs = np.concatenate([basis_weights, np.zeros((batch, 1))], axis=1)
-    words = np.arange(batch)
     best_word, best_pattern, best = syndrome.copy(), np.zeros(batch, dtype=np.intp), np.full(batch, np.inf)
-    block = max(1, _SCORE_CANDIDATES // batch)
-    for lo in range(0, len(patterns), block):
-        flips = patterns[lo : lo + block].T
-        diffs = np.bitwise_xor.reduce(np.take(columns, flips, axis=1), axis=1)
-        diffs ^= syndrome[:, None, :]
-        scores = np.take(costs, flips, axis=1).sum(axis=1)
-        byte_values = diffs.astype("<u8", copy=False).view(np.uint8)
-        for j in range(nbytes):
-            scores += np.take(tables[j], byte_values[:, :, j] + offsets)
-        pick = scores.argmin(axis=1)
-        better = scores[words, pick] < best
-        best = np.where(better, scores[words, pick], best)
-        best_word[better] = diffs[better, pick[better]]
-        best_pattern[better] = lo + pick[better]
-    return best_word, best_pattern
+    scored, w, top = 0, 0, len(starts) - 1
+    words = np.arange(batch)  # weight 0 flips nothing: every word scores it
+    while words.size:
+        block = max(1, _SCORE_CANDIDATES // words.size)
+        end = next((e for e in range(w + 2, top + 1) if starts[e] - starts[w] > block), top + 1) - 1
+        scored += words.size * (starts[end] - starts[w])
+        word_columns, word_costs, word_syndrome = columns[words], costs[words], syndrome[words, None]
+        offsets, rows = 256 * words[:, None], np.arange(words.size)
+        for lo in range(starts[w], starts[end], block):
+            flips = patterns[lo : min(lo + block, starts[end])].T
+            diffs = np.bitwise_xor.reduce(np.take(word_columns, flips, axis=1), axis=1)
+            diffs ^= word_syndrome
+            scores = _flip_costs(word_costs, flips)
+            byte_values = diffs.astype("<u8", copy=False).view(np.uint8)
+            for j in range(nbytes):
+                scores += np.take(tables[j], byte_values[:, :, j] + offsets)
+            pick = scores.argmin(axis=1)
+            low = scores[rows, pick]
+            won = low < best[words]
+            at = words[won]
+            best[at], best_word[at], best_pattern[at] = low[won], diffs[won, pick[won]], lo + pick[won]
+        if end == top:
+            break
+        w = end
+        words = np.flatnonzero(_flip_costs(costs, patterns[starts[w + 1] - 1, :, None])[:, 0] < best)
+    return best_word, best_pattern, scored
 
 
-def osd_decode(
-    code: CodeSpec,
-    rx: ReceivedWord,
-    order: int,
-    stats: OsdStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def osd_decode(code: CodeSpec, rx: ReceivedWord, order: int, stats: OsdStats | None = None, *,
+               _messages: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Order-s OSD: returns (message estimate, codeword estimate).
 
     rx.y holds one received word (n,) or a batch of them (B, n); the
@@ -331,16 +355,12 @@ def osd_decode(
     sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking is the same.  The
     first minimum in enumeration order wins.
 
-    The decoder works in syndrome form.  It reduces the parity-check
-    matrix H along the exact reverse of the ranking: the first n-k
-    independent columns are the least reliable basis, by matroid duality
-    the complement of the most reliable one.  Every other column, and the
-    syndrome of the hard decisions, then holds its coordinates on that
-    basis.  So a candidate differs from the hard decisions in its pattern
-    on the basis and, on the rest, in the syndrome XOR the columns its
-    pattern flips.  The ordering and elimination run once over the whole
-    batch; the search scores _CHUNK_WORDS words at a time, so its byte
-    tables do not grow with B.
+    In syndrome form, H is reduced along the exact reverse of the ranking:
+    its first n-k independent columns, the least reliable basis, are by
+    matroid duality the complement of the most reliable one, and every
+    other column and the syndrome of the hard decisions hold coordinates
+    on them (_search).  The search runs on _CHUNK_WORDS words at a time.
+    _messages=False returns None for the messages and recovers none.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
@@ -352,39 +372,34 @@ def osd_decode(
     least_reliable_first = np.argsort(-reliability, axis=1, kind="stable")[:, ::-1]
     hard = y < 0
     checks = _reduction(code)[2]
-    reduced, rows = _gf2.systematic_with_permutation(
-        checks, height, least_reliable_first, tail=_gf2.xor_rows(checks, hard)
-    )
+    tail = _gf2.xor_rows(checks, hard)
+    reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first, tail=tail)
     # steps by role: the least reliable basis by pivot row, then the most
     # reliable basis, the steps without a pivot, last (most reliable) first
     by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
     positions = least_reliable_first[words, by_role]
     weights = reliability[words, positions]
-    patterns = _pattern_positions(code.k, order)
+    patterns, starts = _pattern_positions(code.k, order)
     syndrome = reduced[n]
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
+    scored = 0
     if order > 0:
         columns = reduced[by_role[:, height:], words]
         for lo in range(0, batch, _CHUNK_WORDS):
             part = slice(lo, lo + _CHUNK_WORDS)
-            best_word[part], best_pattern[part] = _search(
-                syndrome[part], columns[part], weights[part, :height], weights[part, height:], patterns
+            best_word[part], best_pattern[part], part_scored = _search(
+                syndrome[part], columns[part], weights[part, :height], weights[part, height:],
+                patterns, starts,
             )
+            scored += part_scored
     flipped = np.zeros((batch, code.k + 1), dtype=bool)
     flipped[words, patterns[best_pattern]] = True
     diff = np.empty((batch, n), dtype=bool)
     diff[words, positions] = np.concatenate([_gf2.unpack(best_word, height), flipped[:, : code.k]], axis=1)
     cw = (hard ^ diff).astype(np.uint8).reshape(np.shape(rx.y))
     if stats is not None:
-        stats.decodes += len(y)
-        stats.patterns_evaluated += len(y) * len(patterns)
-    return message_from_codeword(code, cw), cw
-
-
-def decode_distance(rx: ReceivedWord, codeword: np.ndarray) -> float:
-    """Squared Euclidean distance between y and the modulated codeword."""
-    x = 1.0 - 2.0 * np.asarray(codeword, dtype=np.float64)
-    return float(np.sum((rx.y - x) ** 2))
+        stats.add(OsdStats(batch, batch * len(patterns), scored))
+    return (message_from_codeword(code, cw) if _messages else None), cw
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +456,20 @@ def _trial_draws(rng: np.random.Generator, k: int, n: int, size: int):
 
 
 def _simulate_batch(code, order, snr, seed, batch_index, size):
-    """(errors, trials, patterns) of one batch of trials.
+    """(errors, decoder OsdStats) of one batch of trials.
 
     Each trial draws its message and then its noise, in trial order
     (_trial_draws); the whole batch is then encoded, transmitted and
-    decoded at once, and an error is a decoded codeword differing from
-    the sent one.
+    decoded at once.  An error is a decoded codeword differing from the
+    sent one, so the decoded messages are not recovered.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     messages, noise = _trial_draws(rng, code.k, code.n, size)
     codewords = _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), messages), code.n)
-    _, decided = osd_decode(code, ReceivedWord(y=_bpsk_awgn(codewords, snr, noise)), order)
-    errors = int(np.any(decided != codewords, axis=1).sum())
-    return errors, size, size * len(_pattern_positions(code.k, order))
+    work = OsdStats()
+    rx = ReceivedWord(y=_bpsk_awgn(codewords, snr, noise))
+    _, decided = osd_decode(code, rx, order, work, _messages=False)
+    return int(np.any(decided != codewords, axis=1).sum()), work
 
 
 @contextlib.contextmanager
@@ -524,35 +540,27 @@ def estimate_bler(
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
 
-    errors = trials = patterns = 0
+    errors, work = 0, OsdStats()
     pool_scope = _process_pool(workers) if _pool is None else contextlib.nullcontext(_pool)
     with pool_scope as pool, contextlib.closing(
         _batch_results(code, order, snr, seed, max_trials, workers, pool)
     ) as batches:
-        for batch_errors, batch_trials, batch_patterns in batches:
+        for batch_errors, batch_work in batches:
             errors += batch_errors
-            trials += batch_trials
-            patterns += batch_patterns
+            work.add(batch_work)
             if errors >= min_errors:
                 break
 
     if stats is not None:
-        stats.decodes += trials
-        stats.patterns_evaluated += patterns
+        stats.add(work)
+    trials = work.decodes
     bler = errors / trials
     if errors > 0:
         ci = 1.96 * math.sqrt(bler * (1.0 - bler) / trials)
     else:
         ci = 3.0 / trials
-    return BlerEstimate(
-        snr_db=snr.db,
-        order=order,
-        errors=errors,
-        trials=trials,
-        bler=bler,
-        ci95_halfwidth=ci,
-        seed=seed,
-    )
+    return BlerEstimate(snr_db=snr.db, order=order, errors=errors, trials=trials, bler=bler,
+                        ci95_halfwidth=ci, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +609,8 @@ def required_snr_sim(
         for j in range(points):
             snr_db = start_db + j * grid_db
             point_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(1)[0])
-            est = estimate_bler(
-                code,
-                order,
-                Snr(snr_db),
-                min_errors=min_errors,
-                max_trials=max_trials,
-                seed=point_seed,
-                workers=workers,
-                stats=stats,
-                _pool=pool,
-            )
+            est = estimate_bler(code, order, Snr(snr_db), min_errors=min_errors, max_trials=max_trials,
+                                seed=point_seed, workers=workers, stats=stats, _pool=pool)
             sweep.append(est)
             if est.bler <= epsilon and est.bler + est.ci95_halfwidth <= CI_SLACK * epsilon:
                 return SimulatedThreshold(snr_db=snr_db, reached=True, sweep=sweep)

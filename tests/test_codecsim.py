@@ -10,6 +10,7 @@ import osd_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from osd_reference import decode_distance
 
 from osdlat import _gf2, codecsim
 from osdlat.codecsim import (
@@ -18,7 +19,6 @@ from osdlat.codecsim import (
     ConstructionError,
     OsdStats,
     build_ebch,
-    decode_distance,
     encode,
     estimate_bler,
     message_from_codeword,
@@ -27,7 +27,7 @@ from osdlat.codecsim import (
     sweep_csv_rows,
     transmit,
 )
-from osdlat.fblmath import Snr
+from osdlat.fblmath import Snr, required_snr
 from osdlat.oscomplexity import pattern_count
 
 
@@ -485,8 +485,57 @@ class TestOsdKernel:
                 y = 1.0 - 2.0 * cw + math.sqrt(1.0 / snr.linear) * rng.standard_normal(n)
                 errors += not np.array_equal(osd_reference.osd_decode(code.generator, y, order)[0], cw)
             assert errors > 0
-            result = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
-            assert result == (errors, size, size * pattern_count(k, order))
+            batch_errors, work = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
+            assert (batch_errors, work.decodes) == (errors, size)
+            assert work.patterns_evaluated == size * pattern_count(k, order)
+            assert work.candidates_scored <= work.patterns_evaluated
+
+    @pytest.mark.parametrize("quantum", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("n,k,order,offset_db", [(64, 36, 3, -2.0), (64, 36, 3, -1.0), (128, 64, 2, 0.0),
+                                                     (128, 64, 2, 1.0)])
+    def test_skipped_weights_keep_the_reference_codeword(self, n, k, order, offset_db, quantum):
+        # at these SNRs some words skip whole weights, and on a coarse grid
+        # of y candidates tie exactly, so the first minimum must survive skips
+        code = kernel_code(n, k)
+        snr = Snr(required_snr(n, 1e-3, k / n).db + offset_db)
+        rng = np.random.default_rng(n + order)
+        codewords = rng.integers(0, 2, (48, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + math.sqrt(1.0 / snr.linear) * rng.standard_normal((48, n))
+        if quantum:
+            y = np.round(y / quantum) * quantum
+        stats = OsdStats()
+        # blocks small enough that every weight above 1 gets its own pass
+        with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=512, _CHUNK_WORDS=10):
+            _, got = osd_decode(code, codecsim.ReceivedWord(y=y), order, stats)
+        for word, cw in zip(y, got):
+            assert np.array_equal(cw, osd_reference.osd_decode(code.generator, word, order)[0])
+        assert stats.candidates_scored < stats.patterns_evaluated
+
+    def test_search_skips_weights_at_the_normal_approximation(self):
+        # a silent fallback to scoring every candidate fails here
+        code, stats = kernel_code(64, 36), OsdStats()
+        snr = Snr(required_snr(64, 1e-3, 36 / 64).db)
+        estimate_bler(code, 3, snr, min_errors=10**6, max_trials=512, seed=3, stats=stats)
+        assert stats.patterns_evaluated == 512 * pattern_count(36, 3)
+        assert 0 < stats.candidates_scored < stats.patterns_evaluated / 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 4), st.data())
+    def test_floor_bounds_every_flip_cost_of_its_weight(self, k, order, data):
+        # non-increasing basis weights with exact ties and zeros, plus the
+        # padding column; costs summed the way the search sums them
+        order = min(order, k)
+        values = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 8.0))
+        weights = [sorted(data.draw(st.lists(values, min_size=k, max_size=k)), reverse=True) for _ in range(3)]
+        costs = np.concatenate([np.array(weights), np.zeros((3, 1))], axis=1)
+        patterns, starts = codecsim._pattern_positions(k, order)
+        flip_costs = codecsim._flip_costs(costs, patterns.T)
+        floors = codecsim._flip_costs(costs, patterns[[start - 1 for start in starts[1:]]].T)
+        for w in range(order + 1):
+            assert list(patterns[starts[w + 1] - 1]) == list(range(k - w, k)) + [k] * (max(order, 1) - w)
+            assert np.array_equal(floors[:, w], flip_costs[:, starts[w + 1] - 1])
+            assert (flip_costs[:, starts[w] : starts[w + 1]] >= floors[:, w, None]).all()
+        assert (np.diff(floors, axis=1) >= 0).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(KERNEL_CODES), st.integers(0, 2**32 - 1))

@@ -117,7 +117,7 @@ def _file_text(path: str) -> str:
 
 
 def _law_params(args) -> tradeoff.TradeoffParams | None:
-    if getattr(args, "params_file", None):
+    if args.params_file is not None:
         return tradeoff.params_from_json(args.params_file)
     return None
 
@@ -182,7 +182,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    if args.fit:
+    if args.fit is not None:
         points = []
         for line in args.fit.strip().splitlines()[1:]:
             drho, c = (float(v) for v in line.split(","))
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     parser, registry = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         args = parser.parse_args(argv + _config_argv(parser, registry[args.command], args.config))
     try:
         return args.func(args)

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,8 +101,34 @@ class CodeSpec:
     k: int
     d_min: int
     generator: np.ndarray
-    construction: str = "raw"
-    _reduced: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def reduced(self):
+        """(J, packed rows of inv(G[:, J]), packed columns of a parity-check matrix H).
+
+        Computed on first use and kept in the instance __dict__, so it is
+        pickled along with the code.  One elimination of the columns of
+        [G | I_k] in column order turns it into T [G | I_k]: the pivots land
+        on the first k independent columns J of G, every other column j of G
+        holds its coordinates on G[:, J], and the identity block holds T,
+        whose rows in pivot order are inv(G[:, J]).  Column j's coordinates
+        give the parity check c_j = sum of c_J over them, one row of H.  A
+        pivot inside the identity block means G is rank deficient:
+        ValueError.
+        """
+        k, n = self.generator.shape
+        aug = np.concatenate([self.generator, np.eye(k, dtype=np.uint8)], axis=1)
+        reduced, rows = _gf2.systematic_with_permutation(_gf2.pack(aug.T), k, np.arange(n + k)[None, :])
+        reduced, rows = _gf2.unpack(reduced[:, 0], k), rows[:, 0]
+        pivots = np.flatnonzero(rows >= 0)
+        if pivots.max() >= n:
+            raise ValueError("generator does not have full row rank over GF(2)")
+        pivot_rows = rows[pivots]
+        others = np.flatnonzero(rows[:n] < 0)
+        checks = np.zeros((n - k, n), dtype=np.uint8)
+        checks[np.arange(n - k), others] = 1
+        checks[:, pivots] = reduced[np.ix_(others, pivot_rows)]
+        return pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
 
 
 def build_ebch(n: int, k: int) -> CodeSpec:
@@ -139,57 +165,25 @@ def build_ebch(n: int, k: int) -> CodeSpec:
     for r in range(k):
         rows[r, r : r + target + 1] = gen
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
+    code = CodeSpec(n=n, k=k, d_min=d_min, generator=rows)
     try:
-        reduced = _reduce_generator(rows)
+        code.reduced  # reduce now, so that a rank-deficient generator fails construction
     except ValueError:
         raise ConstructionError(f"generator for (n={n}, k={k}) is rank deficient") from None
-    return CodeSpec(n=n, k=k, d_min=d_min, generator=rows, construction="ebch", _reduced=reduced)
+    return code
 
 
 def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
-    """Codeword msg x G over GF(2)."""
+    """Codeword msg x G over GF(2) of a message (k,), or of each row of (B, k); entries count mod 2."""
     msg = np.asarray(msg, dtype=np.uint8)
-    if msg.shape != (code.k,):
-        raise ValueError(f"message must have length k={code.k}, got shape {msg.shape}")
-    return (msg.astype(np.int32) @ code.generator.astype(np.int32) % 2).astype(np.uint8)
-
-
-def _reduce_generator(generator: np.ndarray):
-    """(J, packed rows of inv(G[:, J]), packed columns of a parity-check matrix H).
-
-    One elimination of the columns of [G | I_k] in column order turns it
-    into T [G | I_k]: the pivots land on the first k independent columns J
-    of G, every other column j of G holds its coordinates on G[:, J], and
-    the identity block holds T, whose rows in pivot order are inv(G[:, J]).
-    Column j's coordinates give the parity check c_j = sum of c_J over
-    them, one row of H.  A pivot inside the identity block means G is rank
-    deficient: ValueError.
-    """
-    k, n = generator.shape
-    aug = np.concatenate([generator, np.eye(k, dtype=np.uint8)], axis=1)
-    reduced, rows = _gf2.systematic_with_permutation(_gf2.pack(aug.T), k, np.arange(n + k)[None, :])
-    reduced, rows = _gf2.unpack(reduced[:, 0], k), rows[:, 0]
-    pivots = np.flatnonzero(rows >= 0)
-    if pivots.max() >= n:
-        raise ValueError("generator does not have full row rank over GF(2)")
-    pivot_rows = rows[pivots]
-    others = np.flatnonzero(rows[:n] < 0)
-    checks = np.zeros((n - k, n), dtype=np.uint8)
-    checks[np.arange(n - k), others] = 1
-    checks[:, pivots] = reduced[np.ix_(others, pivot_rows)]
-    return pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
-
-
-def _reduction(code: CodeSpec):
-    """The code's _reduce_generator result, computed on first use."""
-    if code._reduced is None:
-        code._reduced = _reduce_generator(code.generator)
-    return code._reduced
+    if msg.ndim not in (1, 2) or msg.shape[-1] != code.k:
+        raise ValueError(f"message must have shape (k,) or (B, k) with k={code.k}, got shape {msg.shape}")
+    return _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), msg & 1), code.n)
 
 
 def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
     """The unique message encoding to the given codeword (n,), or to each row of (B, n)."""
-    j_cols, inverse, _ = _reduction(code)
+    j_cols, inverse, _ = code.reduced
     return _gf2.unpack(_gf2.xor_rows(inverse, codeword[..., j_cols] != 0), code.k)
 
 
@@ -198,20 +192,13 @@ def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReceivedWord:
-    """Channel output samples of one codeword."""
-
-    y: np.ndarray
-
-
 def _bpsk_awgn(codewords: np.ndarray, snr: Snr, noise: np.ndarray) -> np.ndarray:
     """Map bit b to symbol 1-2b and add noise scaled to variance 1/rho."""
     return 1.0 - 2.0 * codewords.astype(np.float64) + math.sqrt(1.0 / snr.linear) * noise
 
 
-def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Generator) -> ReceivedWord:
-    """BPSK-map the codeword (bit b -> symbol 1-2b) and add Gaussian noise.
+def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Generator) -> np.ndarray:
+    """Received samples y (n,): the codeword BPSK-mapped (bit b -> symbol 1-2b) plus Gaussian noise.
 
     Noise variance is 1/rho.  The log-likelihood ratio of a sample is
     2*rho*y, so y alone gives the decoder both the hard decisions (its
@@ -220,7 +207,7 @@ def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Gene
     codeword = np.asarray(codeword, dtype=np.uint8)
     if codeword.shape != (code.n,):
         raise ValueError(f"codeword must have length n={code.n}")
-    return ReceivedWord(y=_bpsk_awgn(codeword, snr, rng.standard_normal(code.n)))
+    return _bpsk_awgn(codeword, snr, rng.standard_normal(code.n))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +327,11 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
     return best_word, best_pattern, scored
 
 
-def osd_decode(code: CodeSpec, rx: ReceivedWord, order: int, stats: OsdStats | None = None, *,
+def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None = None, *,
                _messages: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Order-s OSD: returns (message estimate, codeword estimate).
 
-    rx.y holds one received word (n,) or a batch of them (B, n); the
+    y holds one received word (n,) or a batch of them (B, n); the
     estimates have the same leading shape.  Each word ranks its positions
     by |y|, most reliable first (stable sort), and takes the first k
     independent ones as its basis (Fossorier & Lin, IEEE Trans. IT 41(5),
@@ -364,14 +351,15 @@ def osd_decode(code: CodeSpec, rx: ReceivedWord, order: int, stats: OsdStats | N
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
-    y = np.atleast_2d(rx.y)
+    shape = np.shape(y)
+    y = np.atleast_2d(y)
     batch, n = y.shape
     height = n - code.k
     words = np.arange(batch)[:, None]
     reliability = np.abs(y)
     least_reliable_first = np.argsort(-reliability, axis=1, kind="stable")[:, ::-1]
     hard = y < 0
-    checks = _reduction(code)[2]
+    checks = code.reduced[2]
     tail = _gf2.xor_rows(checks, hard)
     reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first, tail=tail)
     # steps by role: the least reliable basis by pivot row, then the most
@@ -396,7 +384,7 @@ def osd_decode(code: CodeSpec, rx: ReceivedWord, order: int, stats: OsdStats | N
     flipped[words, patterns[best_pattern]] = True
     diff = np.empty((batch, n), dtype=bool)
     diff[words, positions] = np.concatenate([_gf2.unpack(best_word, height), flipped[:, : code.k]], axis=1)
-    cw = (hard ^ diff).astype(np.uint8).reshape(np.shape(rx.y))
+    cw = (hard ^ diff).astype(np.uint8).reshape(shape)
     if stats is not None:
         stats.add(OsdStats(batch, batch * len(patterns), scored))
     return (message_from_codeword(code, cw) if _messages else None), cw
@@ -465,10 +453,9 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     messages, noise = _trial_draws(rng, code.k, code.n, size)
-    codewords = _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), messages), code.n)
+    codewords = encode(code, messages)
     work = OsdStats()
-    rx = ReceivedWord(y=_bpsk_awgn(codewords, snr, noise))
-    _, decided = osd_decode(code, rx, order, work, _messages=False)
+    _, decided = osd_decode(code, _bpsk_awgn(codewords, snr, noise), order, work, _messages=False)
     return int(np.any(decided != codewords, axis=1).sum()), work
 
 

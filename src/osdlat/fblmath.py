@@ -50,12 +50,6 @@ class Snr:
     def linear(self) -> float:
         return 10.0 ** (self.db / 10.0)
 
-    @classmethod
-    def from_linear(cls, rho: float) -> "Snr":
-        if not rho > 0:
-            raise ValueError(f"linear SNR must be positive, got {rho}")
-        return cls(10.0 * math.log10(rho))
-
 
 def validate_epsilon(epsilon: float) -> float:
     """Validate a codeword error probability target."""
@@ -183,19 +177,3 @@ def required_snr(
             lo = mid
     return Snr(hi)
 
-
-def power_penalty(
-    operating: Snr,
-    n: int,
-    epsilon: float,
-    rate: float,
-) -> float:
-    """Excess of the operating SNR over the normal-approximation SNR, in dB."""
-    needed = required_snr(n, epsilon, rate)
-    delta = operating.db - needed.db
-    if delta < -1e-9:
-        raise ValueError(
-            f"operating point {operating.db:.3f} dB is below the "
-            f"normal-approximation requirement {needed.db:.3f} dB"
-        )
-    return max(delta, 0.0)

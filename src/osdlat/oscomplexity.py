@@ -60,13 +60,6 @@ def _validate_nks(n: int, k: int, s: int) -> None:
         raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
 
 
-def recommended_order(d_min: int, k: int) -> int:
-    """Order for near-ML performance: min(ceil(d_min/4 - 1), k), at least 0."""
-    if d_min < 1 or k < 1:
-        raise ValueError(f"need d_min >= 1 and k >= 1, got {d_min}, {k}")
-    return min(max(math.ceil(d_min / 4 - 1), 0), k)
-
-
 def binary_entropy(q: float) -> float:
     """Binary entropy h(q) in bits, with h(0) = h(1) = 0 by continuity."""
     q = float(q)
@@ -75,14 +68,6 @@ def binary_entropy(q: float) -> float:
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
-
-
-def entropy_approx(q: float) -> float:
-    """Closed-form entropy surrogate (4q(1-q))^(3/4); off by < 0.015."""
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"entropy argument must be in [0, 1], got {q}")
-    return (4.0 * q * (1.0 - q)) ** 0.75
 
 
 def pattern_count(k: int, s: int) -> int:
@@ -147,12 +132,12 @@ def latency_gamma(n: int, k: int, budget: LatencyBudget) -> float:
 def max_order(n: int, k: int, budget: LatencyBudget) -> tuple[float, int]:
     """Largest decoder order that still meets the latency deadline.
 
-    Returns (s_approx, s_star): the closed-form real-valued order from the
-    entropy-surrogate inversion of the deadline constraint (nan where that
-    expression is undefined), and the exact integer maximizer found by
-    local search seeded at floor(s_approx) and verified against the exact
-    complexity.  Raises InfeasibleError when even order 0 misses the
-    deadline.
+    Returns (s_approx, s_star): the real order solving the deadline
+    constraint with h(q) replaced by the surrogate (4q(1-q))^(3/4), which
+    is off by < 0.015 and inverts in closed form (nan where that inverse
+    is undefined), and the exact integer maximizer found by local search
+    seeded at floor(s_approx) and verified against the exact complexity.
+    Raises InfeasibleError when even order 0 misses the deadline.
     """
     _validate_nks(n, k, 0)
 

@@ -59,6 +59,8 @@ class PenaltyPoint:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta_rho_db) and math.isfinite(self.c)):
+            raise ValueError(f"penalty point must be finite, got ({self.delta_rho_db}, {self.c})")
         if self.delta_rho_db < 0:
             raise ValueError(f"penalty must be >= 0, got {self.delta_rho_db}")
         if self.c < 1:
@@ -193,6 +195,8 @@ def params_for_blocklength(n: float, extrapolation: str = "power") -> TradeoffPa
     """
     if not n >= 2:
         raise ValueError(f"blocklength must be >= 2, got {n}")
+    if math.isinf(n):
+        raise ValueError(f"blocklength must be finite, got {n}")
     if extrapolation not in ("power", "clamp"):
         raise ValueError(f"unknown extrapolation mode {extrapolation!r}")
     lo, hi = PARAMS_64, PARAMS_128
@@ -216,15 +220,8 @@ def params_for_blocklength(n: float, extrapolation: str = "power") -> TradeoffPa
     return TradeoffParams(a=a, b=hi.b, gamma_fit=hi.gamma_fit, n_anchor=int(round(n)))
 
 
-def params_to_json(p: TradeoffParams) -> str:
-    return json.dumps(
-        {"n_anchor": p.n_anchor, "a": p.a, "b": p.b, "gamma_fit": p.gamma_fit},
-        sort_keys=True,
-    )
-
-
 def params_from_json(doc: str) -> TradeoffParams:
-    """Law constants from a params_to_json or `tradeoff --fit` document.
+    """Law constants from a `tradeoff --fit` document: a TradeoffParams as a JSON object.
 
     Every constant must be a finite JSON number and n_anchor a whole one;
     the rms_residual key that `tradeoff --fit` adds is accepted and ignored.

@@ -73,7 +73,7 @@ def osd_decode(generator: np.ndarray, y: np.ndarray, order: int):
     return cw, float(dist2[best]), len(candidates)
 
 
-def decode_distance(rx, codeword: np.ndarray) -> float:
-    """Squared Euclidean distance between rx.y and the modulated codeword."""
+def decode_distance(y: np.ndarray, codeword: np.ndarray) -> float:
+    """Squared Euclidean distance between y and the modulated codeword."""
     x = 1.0 - 2.0 * np.asarray(codeword, dtype=np.float64)
-    return float(np.sum((rx.y - x) ** 2))
+    return float(np.sum((y - x) ** 2))

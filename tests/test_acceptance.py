@@ -225,12 +225,12 @@ def test_criterion_08a_full_order_osd_equals_ml():
     trials = 10_000
     for _ in range(trials):
         msg = rng.integers(0, 2, 4, dtype=np.uint8)
-        rx = codecsim.transmit(code, codecsim.encode(code, msg), Snr(2.0), rng)
-        _, cw_hat = codecsim.osd_decode(code, rx, 4)
-        ml_dist = np.sum((rx.y - (1.0 - 2.0 * words)) ** 2, axis=1)
+        y = codecsim.transmit(code, codecsim.encode(code, msg), Snr(2.0), rng)
+        _, cw_hat = codecsim.osd_decode(code, y, 4)
+        ml_dist = np.sum((y - (1.0 - 2.0 * words)) ** 2, axis=1)
         best = words[int(np.argmin(ml_dist))]
         if np.array_equal(cw_hat, best) or math.isclose(
-            decode_distance(rx, cw_hat), float(ml_dist.min()), abs_tol=1e-9
+            decode_distance(y, cw_hat), float(ml_dist.min()), abs_tol=1e-9
         ):
             agreements += 1
     elapsed = time.perf_counter() - t0

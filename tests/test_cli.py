@@ -155,6 +155,39 @@ class TestTradeoffCommand:
         assert "cannot read" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("tradeoff", "--fit"), "at least 3 points"),
+            (("tradeoff", "--params-file"), "Expecting value"),
+            (("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file"), "Expecting value"),
+        ],
+    )
+    def test_empty_input_file_is_domain_error(self, tmp_path, args, message):
+        empty = tmp_path / "empty"
+        empty.write_text("")
+        proc = run_cli(*args, str(empty), check=False)
+        assert proc.returncode == 3
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("n", ["inf", "1e400"])
+    def test_infinite_blocklength_is_domain_error(self, n):
+        proc = run_cli("tradeoff", "--n", n, check=False)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "finite" in proc.stderr
+
+    @pytest.mark.parametrize("row", ["nan,900", "inf,900", "2.0,nan", "2.0,inf"])
+    def test_non_finite_fit_point_is_domain_error(self, tmp_path, row):
+        points = tmp_path / "points.csv"
+        points.write_text(f"delta_rho_db,c\n0.5,4096\n{row}\n4.0,60\n6.0,25\n")
+        proc = run_cli("tradeoff", "--fit", str(points), check=False)
+        assert proc.returncode == 3
+        assert "penalty point must be finite" in proc.stderr
+        # the point is rejected before LAPACK sees it
+        assert "DLASCL" not in proc.stderr
+
 
 class TestSimulateCommand:
     def test_deterministic_rerun_byte_identical(self):
@@ -456,6 +489,15 @@ class TestConfigFile:
         proc = run_cli(
             "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
             "--config", str(cfg), check=False,
+        )
+        assert proc.returncode == 2
+        assert "not valid JSON" in proc.stderr
+
+    def test_empty_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("")
+        proc = run_cli(
+            "complexity", "--n", "128", "--k", "64", "--config", str(cfg), check=False,
         )
         assert proc.returncode == 2
         assert "not valid JSON" in proc.stderr

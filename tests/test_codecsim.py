@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import pickle
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from unittest import mock
 
@@ -47,12 +48,26 @@ class TestConstruction:
         reduced, rows = _gf2.systematic_with_permutation(_gf2.pack(code.generator.T), k, np.arange(n)[None, :])
         assert np.array_equal(_gf2.unpack(reduced[:k, 0], k), np.eye(k, dtype=np.uint8))
         assert np.array_equal(rows[:, 0], np.r_[np.arange(k), np.full(n - k, -1)])
-        assert code.construction == "ebch"
+        assert "reduced" in vars(code)  # reduced at construction
+
+    def test_raw_code_reduces_on_first_use(self, code84):
+        code = CodeSpec(n=8, k=4, d_min=4, generator=code84.generator)
+        assert "reduced" not in vars(code)
+        msg = np.array([1, 0, 1, 1], dtype=np.uint8)
+        assert np.array_equal(message_from_codeword(code, encode(code, msg)), msg)
+        assert "reduced" in vars(code)
+
+    def test_reduction_is_pickled_with_the_code(self, code6436):
+        # pool workers receive the code pickled and must not reduce it again
+        copy = pickle.loads(pickle.dumps(code6436))
+        assert "reduced" in vars(copy)
+        for got, want in zip(copy.reduced, code6436.reduced):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (64, 57), (128, 57), (256, 247)])
     def test_parity_checks_span_the_dual(self, n, k):
         code = build_ebch(n, k)
-        checks = _gf2.unpack(codecsim._reduction(code)[2], n - k).T
+        checks = _gf2.unpack(code.reduced[2], n - k).T
         assert checks.shape == (n - k, n)
         assert not (code.generator.astype(np.int64) @ checks.T % 2).any()
         # full rank: n - k independent checks
@@ -92,6 +107,24 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(code84, np.zeros(5, dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4), ()])
+    def test_batch_shape_mismatch(self, code84, shape):
+        with pytest.raises(ValueError):
+            encode(code84, np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (128, 64)])
+    @pytest.mark.parametrize("high", [2, 256])
+    def test_batch_equals_row_wise_product(self, n, k, high):
+        # eBCH(128, 64) rows take two packed words; entries above 1 count mod 2
+        code = build_ebch(n, k)
+        msgs = np.random.default_rng(n + high).integers(0, high, (40, k), dtype=np.uint8)
+        want = msgs.astype(np.int64) @ code.generator % 2
+        got = encode(code, msgs)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+        for msg, row in zip(msgs, want):
+            assert np.array_equal(encode(code, msg), row)
+
     def test_sampled_weights_at_least_dmin(self, code6436):
         rng = np.random.default_rng(1)
         for _ in range(10_000):
@@ -126,10 +159,10 @@ class TestTransmit:
     def test_noiseless_limit(self, code3216):
         rng = np.random.default_rng(0)
         cw = encode(code3216, rng.integers(0, 2, 16, dtype=np.uint8))
-        rx = transmit(code3216, cw, Snr(100.0), rng)
+        y = transmit(code3216, cw, Snr(100.0), rng)
         symbols = 1.0 - 2.0 * cw
-        assert np.allclose(rx.y, symbols, atol=1e-3)
-        assert np.array_equal(np.sign(rx.y), np.sign(symbols))
+        assert np.allclose(y, symbols, atol=1e-3)
+        assert np.array_equal(np.sign(y), np.sign(symbols))
 
     def test_noise_variance(self, code6436):
         rho = Snr(3.0).linear
@@ -137,8 +170,7 @@ class TestTransmit:
         cw = np.zeros(64, dtype=np.uint8)
         samples = []
         for _ in range(16_000):
-            rx = transmit(code6436, cw, Snr(3.0), rng)
-            samples.append(rx.y - 1.0)
+            samples.append(transmit(code6436, cw, Snr(3.0), rng) - 1.0)
         noise = np.concatenate(samples)
         assert noise.size >= 10**6
         assert noise.var() == pytest.approx(1.0 / rho, rel=0.01)
@@ -147,7 +179,7 @@ class TestTransmit:
         cw = np.zeros(8, dtype=np.uint8)
         a = transmit(code84, cw, Snr(2.0), np.random.default_rng(9))
         b = transmit(code84, cw, Snr(2.0), np.random.default_rng(9))
-        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a, b)
 
 
 class TestOsdDecode:
@@ -166,10 +198,10 @@ class TestOsdDecode:
         rng = np.random.default_rng(5)
         for _ in range(500):
             msg = rng.integers(0, 2, 4, dtype=np.uint8)
-            rx = transmit(code84, encode(code84, msg), Snr(2.0), rng)
-            _, cw_hat = osd_decode(code84, rx, 4)
-            ml_dist = np.sum((rx.y - (1.0 - 2.0 * words)) ** 2, axis=1)
-            assert decode_distance(rx, cw_hat) == pytest.approx(float(ml_dist.min()), abs=1e-9)
+            y = transmit(code84, encode(code84, msg), Snr(2.0), rng)
+            _, cw_hat = osd_decode(code84, y, 4)
+            ml_dist = np.sum((y - (1.0 - 2.0 * words)) ** 2, axis=1)
+            assert decode_distance(y, cw_hat) == pytest.approx(float(ml_dist.min()), abs=1e-9)
 
     def test_candidate_superset_property(self, code3216):
         rng = np.random.default_rng(6)
@@ -446,8 +478,8 @@ class TestOsdKernel:
         # that every block and slice boundary is crossed
         chunk_words = data.draw(st.integers(1, max(1, len(y) - 1)))
         with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=score_candidates, _CHUNK_WORDS=chunk_words):
-            messages, batched = osd_decode(code, codecsim.ReceivedWord(y=y), order, batch_stats)
-        singles = [osd_decode(code, codecsim.ReceivedWord(y=word), order, stats)[1] for word in y]
+            messages, batched = osd_decode(code, y, order, batch_stats)
+        singles = [osd_decode(code, word, order, stats)[1] for word in y]
         for want, message, got, single in zip(expected, messages, batched, singles):
             assert np.array_equal(got, want)
             assert np.array_equal(single, want)
@@ -460,7 +492,7 @@ class TestOsdKernel:
     @given(received_batches(max_order=3))
     def test_output_is_codeword(self, case):
         code, order, y = case
-        for cw in osd_decode(code, codecsim.ReceivedWord(y=y), order)[1]:
+        for cw in osd_decode(code, y, order)[1]:
             assert np.array_equal(encode(code, message_from_codeword(code, cw)), cw)
 
     @settings(max_examples=60, deadline=None)
@@ -468,8 +500,7 @@ class TestOsdKernel:
     def test_distance_non_increasing_with_order(self, case):
         code, _, y = case
         for word in y:
-            rx = codecsim.ReceivedWord(y=word)
-            dists = [decode_distance(rx, osd_decode(code, rx, s)[1]) for s in range(4)]
+            dists = [decode_distance(word, osd_decode(code, word, s)[1]) for s in range(4)]
             assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
 
     @pytest.mark.parametrize("n,k,order,snr_db", [(16, 7, 2, 1.0), (32, 16, 1, 2.0), (64, 36, 1, 3.0)])
@@ -506,7 +537,7 @@ class TestOsdKernel:
         stats = OsdStats()
         # blocks small enough that every weight above 1 gets its own pass
         with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=512, _CHUNK_WORDS=10):
-            _, got = osd_decode(code, codecsim.ReceivedWord(y=y), order, stats)
+            _, got = osd_decode(code, y, order, stats)
         for word, cw in zip(y, got):
             assert np.array_equal(cw, osd_reference.osd_decode(code.generator, word, order)[0])
         assert stats.candidates_scored < stats.patterns_evaluated
@@ -546,7 +577,7 @@ class TestOsdKernel:
         n, k = nk
         order = np.random.default_rng(seed).permutation(n)
         _, perm = osd_reference.systematic_with_permutation(code.generator, order)
-        checks = codecsim._reduction(code)[2]
+        checks = code.reduced[2]
         _, rows = _gf2.systematic_with_permutation(checks, n - k, order[None, ::-1])
         basis = order[::-1][rows[:, 0] < 0][::-1]
         assert np.array_equal(basis, perm[:k])

@@ -13,29 +13,13 @@ from osdlat.oscomplexity import (
     complexity_bound,
     complexity_exact,
     complexity_report,
-    entropy_approx,
     latency_gamma,
     max_order,
     pattern_count,
-    recommended_order,
     total_latency,
 )
 
 BUDGET = LatencyBudget(deadline=1e-3, symbol_time=1e-6, binop_time=1e-9)
-
-
-class TestRecommendedOrder:
-    @pytest.mark.parametrize(
-        "d_min,k,expected", [(22, 64, 5), (4, 16, 0), (200, 10, 10), (12, 36, 2), (8, 16, 1)]
-    )
-    def test_examples(self, d_min, k, expected):
-        assert recommended_order(d_min, k) == expected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            recommended_order(0, 4)
-        with pytest.raises(ValueError):
-            recommended_order(4, 0)
 
 
 class TestEntropy:
@@ -53,19 +37,6 @@ class TestEntropy:
         for q in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 binary_entropy(q)
-            with pytest.raises(ValueError):
-                entropy_approx(q)
-
-    def test_approx_anchors(self):
-        assert entropy_approx(0.5) == 1.0
-        assert entropy_approx(0.0) == 0.0
-        assert entropy_approx(1.0) == 0.0
-        assert entropy_approx(0.3) == pytest.approx(0.8774239093805121, abs=1e-12)
-
-    def test_approx_max_deviation(self):
-        qs = np.linspace(0.0, 1.0, 20001)
-        dev = max(abs(entropy_approx(q) - binary_entropy(q)) for q in qs)
-        assert dev < 0.015
 
 
 class TestComplexityExact:

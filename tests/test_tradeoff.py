@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 import random
 
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from osdlat.fblmath import required_snr
+from osdlat.ioutil import json_text
 from osdlat.tradeoff import (
     CALIBRATION_64,
     PARAMS_64,
@@ -17,7 +18,6 @@ from osdlat.tradeoff import (
     fit_params,
     params_for_blocklength,
     params_from_json,
-    params_to_json,
     penalty_to_complexity,
 )
 
@@ -113,6 +113,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_params(points, n_anchor=64)
 
+    @pytest.mark.parametrize("drho,c", [(math.nan, 100.0), (math.inf, 100.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_non_finite_point_rejected(self, drho, c):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyPoint(delta_rho_db=drho, c=c)
+
 
 class TestCalibration64:
     """PARAMS_64 is tied to its simulated thresholds without Monte Carlo."""
@@ -187,10 +192,16 @@ class TestParamsForBlocklength:
         with pytest.raises(ValueError):
             params_for_blocklength(128, extrapolation="spline")
 
+    @pytest.mark.parametrize("extrapolation", ["power", "clamp"])
+    def test_infinite_blocklength_rejected(self, extrapolation):
+        with pytest.raises(ValueError, match="finite"):
+            params_for_blocklength(math.inf, extrapolation)
+
 
 class TestSerialization:
     def test_round_trip(self):
-        doc = params_to_json(PARAMS_64)
+        # written the way `tradeoff --fit` writes its document
+        doc = json_text(dataclasses.asdict(PARAMS_64))
         back = params_from_json(doc)
         assert back == PARAMS_64
 
@@ -199,7 +210,7 @@ class TestSerialization:
             params_from_json('{"n_anchor": 64, "a": 0.05, "b": 0.03, "gamma_fit": 0.4, "x": 1}')
 
     def test_fit_document_accepted(self):
-        doc = json.dumps({**json.loads(params_to_json(PARAMS_64)), "rms_residual": 0.01})
+        doc = json_text({**dataclasses.asdict(PARAMS_64), "rms_residual": 0.01})
         assert params_from_json(doc) == PARAMS_64
 
     @pytest.mark.parametrize(

@@ -21,12 +21,14 @@ The set covers every sub-command, epsilon from 1e-1 to 1e-9, binary
 operation times 0, 0.1 ns and 1 ns, all three scenarios, infinite power
 caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
---params-file, and usage/domain errors (a reversed lo:hi pair, max-k
-without a finite blocklength range, empty default blocklength ranges,
-flags a scenario does not read, blocklengths below 2, an oversized
-max-rate rate grid, SNRs and power caps past the linear SNR scale,
-sweep grids that are not finite, positive and bounded, `simulate` with
-both --snr-db and --eps, and negative seeds among them).
+--params-file, and usage/domain errors (a reversed lo:hi pair, an
+infinite `tradeoff --n`, empty --fit, --params-file and --config files,
+a fit point that is not finite, max-k without a finite blocklength
+range, empty default blocklength ranges, flags a scenario does not read,
+blocklengths below 2, an oversized max-rate rate grid, SNRs and power
+caps past the linear SNR scale, sweep grids that are not finite,
+positive and bounded, `simulate` with both --snr-db and --eps, and
+negative seeds among them).
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ INPUT_FILES = {
     "cfg.json": '{"n": 1000, "snr_db_range": "5:5:1"}\n',
     "params_null.json": '{"n_anchor": 64, "a": null, "b": 0.03, "gamma_fit": 0.4}\n',
     "params_bool.json": '{"n_anchor": 64, "a": true, "b": 0.03, "gamma_fit": 0.4}\n',
+    "points_nan.csv": "delta_rho_db,c\n0.5,4096\nnan,900\n2.0,210\n4.0,60\n",
+    "empty": "",
 }
 
 
@@ -74,6 +78,12 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(("tradeoff", "--params-file", "{tmp}/fit.json", "--delta-rho-range", "0:6:1"))
     cmds.append(("tradeoff", "--params-file", "{tmp}/params_null.json"))
     cmds.append(("tradeoff", "--params-file", "{tmp}/params_bool.json"))
+    # an infinite blocklength, empty input files and a fit point that is not finite
+    cmds.append(("tradeoff", "--n", "inf"))
+    cmds.append(("tradeoff", "--fit", "{tmp}/empty"))
+    cmds.append(("tradeoff", "--fit", "{tmp}/points_nan.csv"))
+    cmds.append(("tradeoff", "--params-file", "{tmp}/empty"))
+    cmds.append(("complexity", "--n", "128", "--k", "64", "--config", "{tmp}/empty"))
 
     sim = ("simulate", "--code", "8x4")
     cmds.append(sim + ("--order", "2", "--snr-db", "5", "--seed", "3", "--min-errors", "10", "--max-trials", "2000"))

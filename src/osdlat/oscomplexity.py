@@ -75,10 +75,21 @@ def pattern_count(k: int, s: int) -> int:
     return sum(math.comb(k, i) for i in range(s + 1))
 
 
+def _finite(what: str, value_of, n: int, k: int, s: int) -> float:
+    """value_of(), or ValueError naming (n, k, s) when it exceeds the float range."""
+    try:
+        value = value_of()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"{what} at n={n}, k={k}, s={s} exceeds the float range")
+    return value
+
+
 def complexity_exact(n: int, k: int, s: int) -> float:
     """Binary operations per information bit of an order-s OS decoder."""
     _validate_nks(n, k, s)
-    return k * k / 8.0 + n * float(pattern_count(k, s)) / 2.0
+    return _finite("complexity", lambda: k * k / 8.0 + n * float(pattern_count(k, s)) / 2.0, n, k, s)
 
 
 def complexity_bound(n: int, k: int, s: int) -> float:
@@ -86,7 +97,9 @@ def complexity_bound(n: int, k: int, s: int) -> float:
     _validate_nks(n, k, s)
     if 2 * s > k:
         raise ValueError(f"bound is only proven for s <= k/2, got s={s}, k={k}")
-    return k * k / 8.0 + n / 2.0 * 2.0 ** (k * binary_entropy(s / k))
+    return _finite(
+        "complexity bound", lambda: k * k / 8.0 + n / 2.0 * 2.0 ** (k * binary_entropy(s / k)), n, k, s
+    )
 
 
 def binomial_sum_bound_check(k: int, s: int) -> bool:
@@ -100,19 +113,21 @@ def binomial_sum_bound_check(k: int, s: int) -> bool:
 
 def complexity_report(n: int, k: int, s: int) -> ComplexityReport:
     """Exact complexity, bound where proven, and the dominating cost term."""
-    _validate_nks(n, k, s)
+    c_exact = complexity_exact(n, k, s)
     gj = k * k / 8.0
-    patterns = n * float(pattern_count(k, s)) / 2.0
     bound = complexity_bound(n, k, s) if 2 * s <= k else None
-    dominant = GAUSS_JORDAN if gj >= patterns else PATTERN_SEARCH
-    return ComplexityReport(gj + patterns, bound, dominant)
+    dominant = GAUSS_JORDAN if gj >= c_exact - gj else PATTERN_SEARCH
+    return ComplexityReport(c_exact, bound, dominant)
 
 
 def total_latency(n: int, k: int, c: float, budget: LatencyBudget) -> float:
     """Transmission plus decoding time: n*T_s + k*c*T_b, in seconds."""
     if n < 1 or k < 1 or c < 0:
         raise ValueError(f"need n, k >= 1 and c >= 0, got n={n}, k={k}, c={c}")
-    return n * budget.symbol_time + k * c * budget.binop_time
+    latency = n * budget.symbol_time + k * c * budget.binop_time
+    if not math.isfinite(latency):
+        raise ValueError(f"total latency at n={n}, k={k}, c={c} exceeds the float range")
+    return latency
 
 
 def latency_gamma(n: int, k: int, budget: LatencyBudget) -> float:

@@ -44,6 +44,8 @@ class TradeoffParams:
                 f"law constants must be positive, got a={self.a}, "
                 f"b={self.b}, gamma_fit={self.gamma_fit}"
             )
+        if not 1.0 / self.b < 1024:
+            raise ValueError(f"law constant b must exceed 1/1024 so that 2^(1/b) is finite, got b={self.b}")
 
     @property
     def max_complexity(self) -> float:
@@ -63,8 +65,9 @@ class PenaltyPoint:
             raise ValueError(f"penalty point must be finite, got ({self.delta_rho_db}, {self.c})")
         if self.delta_rho_db < 0:
             raise ValueError(f"penalty must be >= 0, got {self.delta_rho_db}")
-        if self.c < 1:
-            raise ValueError(f"complexity must be >= 1, got {self.c}")
+        # c = 1 is an infinite penalty, outside the law's support
+        if not self.c > 1:
+            raise ValueError(f"complexity must be > 1, got {self.c}")
 
 
 @dataclass(frozen=True)

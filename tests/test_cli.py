@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -16,15 +17,54 @@ from osdlat.fblmath import required_snr
 from osdlat.tradeoff import TradeoffParams, penalty_to_complexity
 
 
+@functools.cache
+def _golden_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
+    spec = importlib.util.spec_from_file_location("golden_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "osdlat", *args],
-        capture_output=True,
-        text=True,
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
-    return proc
+    """Run cli.main in-process through the golden tool's runner.
+
+    The runner reports an uncaught exception as exit code 1 with its type
+    and message and no traceback, so exit 1 fails every call.
+    """
+    rc, out, err = _golden_tool().run_one(cli.main, list(args))
+    assert rc != 1, f"uncaught exception: {err}"
+    if check and rc != 0:
+        raise AssertionError(f"cli failed ({rc}): {err}")
+    return subprocess.CompletedProcess(args, rc, out, err)
+
+
+def run_process(*args):
+    """Run `python -m osdlat` in a fresh interpreter, where the process boundary is under test."""
+    return subprocess.run([sys.executable, "-m", "osdlat", *args], capture_output=True, text=True)
+
+
+class TestEntryPoint:
+    """The only tests here that start a process, with TestTradeoffCommand's LAPACK guard."""
+
+    def test_success_prints_csv_on_stdout(self):
+        proc = run_process("rate", "--n", "1000", "--eps", "1e-3", "--snr-db-range", "5:5:1")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("snr_db,capacity,dispersion,rate\n")
+        assert proc.stderr == ""
+
+    def test_usage_error_exits_2(self):
+        proc = run_process("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: osdlat rate")
+        assert proc.stdout == ""
+
+    def test_domain_error_exits_3_without_traceback(self):
+        proc = run_process("complexity", "--n", "128", "--k", "64", "--orders", "3:1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestRateCommand:
@@ -89,6 +129,16 @@ class TestComplexityCommand:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "3:1" in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "orders", [("--orders", "600:600"), ("--orders", "0:0", "--dm", "1e300", "--tb", "1e-300")]
+    )
+    def test_past_float_range_is_domain_error(self, orders):
+        proc = run_cli("complexity", "--n", "4000", "--k", "2000", *orders, check=False)
+        assert proc.returncode == 3
+        assert "exceeds the float range" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestTradeoffCommand:
@@ -171,6 +221,28 @@ class TestTradeoffCommand:
         assert message in proc.stderr
         assert proc.stdout == ""
 
+    def test_fit_point_at_c_one_is_domain_error(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("delta_rho_db,c\n0.5,1\n1,900\n2,210\n4,60\n")
+        proc = run_cli("tradeoff", "--fit", str(points), check=False)
+        assert proc.returncode == 3
+        assert "complexity must be > 1, got 1.0" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("tradeoff",),
+            ("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "60:62"),
+        ],
+    )
+    def test_params_file_with_tiny_b_is_domain_error(self, tmp_path, args):
+        params = tmp_path / "params.json"
+        params.write_text('{"n_anchor": 64, "a": 0.05, "b": 0.0001, "gamma_fit": 0.4}')
+        proc = run_cli(*args, "--params-file", str(params), check=False)
+        assert proc.returncode == 3
+        assert "1/1024" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("n", ["inf", "1e400"])
     def test_infinite_blocklength_is_domain_error(self, n):
         proc = run_cli("tradeoff", "--n", n, check=False)
@@ -182,14 +254,20 @@ class TestTradeoffCommand:
     def test_non_finite_fit_point_is_domain_error(self, tmp_path, row):
         points = tmp_path / "points.csv"
         points.write_text(f"delta_rho_db,c\n0.5,4096\n{row}\n4.0,60\n6.0,25\n")
-        proc = run_cli("tradeoff", "--fit", str(points), check=False)
+        # a real process: LAPACK writes its DLASCL lines to file descriptor 1
+        proc = run_process("tradeoff", "--fit", str(points))
         assert proc.returncode == 3
         assert "penalty point must be finite" in proc.stderr
         # the point is rejected before LAPACK sees it
-        assert "DLASCL" not in proc.stderr
+        assert "DLASCL" not in proc.stdout + proc.stderr
 
 
 class TestSimulateCommand:
+    @pytest.fixture(autouse=True)
+    def _one_worker(self, monkeypatch):
+        # in-process runs share os.environ; one worker starts no process pool
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+
     def test_deterministic_rerun_byte_identical(self):
         args = (
             "simulate", "--code", "8x4", "--order", "4", "--snr-db", "6",
@@ -560,14 +638,6 @@ class TestWorkersVariable:
         monkeypatch.setenv(cli.WORKERS_ENV, "abc")
         with pytest.raises(ValueError, match=cli.WORKERS_ENV):
             cli._workers()
-
-
-def _golden_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
-    spec = importlib.util.spec_from_file_location("golden_cli", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_golden_command_set_has_no_traceback(monkeypatch):

@@ -62,6 +62,39 @@ class TestComplexityExact:
             complexity_exact(10, 5, -1)
 
 
+class TestFloatRange:
+    # C(2000, 600) alone exceeds the float range; 1023 * 2^1023 / 2 does only once multiplied
+    @pytest.mark.parametrize(("n", "k", "s"), [(4000, 2000, 600), (1023, 1023, 1023)])
+    def test_exact_past_float_range_names_its_arguments(self, n, k, s):
+        with pytest.raises(ValueError, match=f"^complexity at n={n}, k={k}, s={s} exceeds the float range"):
+            complexity_exact(n, k, s)
+        with pytest.raises(ValueError, match="float range"):
+            complexity_report(n, k, s)
+
+    # at (1100, 1100, 372) the exact complexity, 1.29e307, still fits
+    @pytest.mark.parametrize(("n", "k", "s"), [(4000, 2000, 600), (2048, 1024, 512), (1100, 1100, 372)])
+    def test_bound_past_float_range_names_its_arguments(self, n, k, s):
+        with pytest.raises(ValueError, match=f"complexity bound at n={n}, k={k}, s={s} exceeds the float range"):
+            complexity_bound(n, k, s)
+
+    def test_values_near_the_edge_pass(self):
+        assert complexity_exact(1014, 1014, 1014) == 1014**2 / 8 + 507 * 2.0**1014
+        assert math.isfinite(complexity_bound(4000, 2000, 200))
+
+    @pytest.mark.parametrize("binop_time", [1e-300, 0.0])
+    def test_latency_past_float_range_rejected(self, binop_time):
+        # k*c overflows first, so the latency reads inf (or nan at T_b = 0)
+        budget = LatencyBudget(deadline=1e300, symbol_time=1e-6, binop_time=binop_time)
+        with pytest.raises(ValueError, match="n=4000, k=2000, c=1e\\+306 exceeds the float range"):
+            total_latency(4000, 2000, 1e306, budget)
+
+    def test_max_order_past_float_range_is_an_error_not_an_order(self):
+        # the climb used to stop where k*c overflowed to inf and report s* = 222
+        budget = LatencyBudget(deadline=1e300, symbol_time=1e-6, binop_time=1e-300)
+        with pytest.raises(ValueError, match="float range"):
+            max_order(4000, 2000, budget)
+
+
 class TestComplexityBound:
     def test_hand_values(self):
         assert complexity_bound(20, 10, 3) == pytest.approx(4508.5, rel=1e-3)
@@ -123,6 +156,11 @@ class TestComplexityReport:
                 patterns = n * pattern_count(k, s) / 2
                 expected = GAUSS_JORDAN if gj >= patterns else PATTERN_SEARCH
                 assert rep.dominant_term == expected
+
+    def test_exact_field_is_complexity_exact(self):
+        for n, k in ((8, 4), (64, 36), (128, 64), (4000, 2000)):
+            for s in range(0, min(k, 6) + 1):
+                assert complexity_report(n, k, s).c_exact == complexity_exact(n, k, s)
 
     def test_bound_field(self):
         rep = complexity_report(64, 36, 2)

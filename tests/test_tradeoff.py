@@ -118,6 +118,15 @@ class TestFit:
         with pytest.raises(ValueError, match="finite"):
             PenaltyPoint(delta_rho_db=drho, c=c)
 
+    @pytest.mark.parametrize("c", [1.0, 0.5, 0.0, -3.0])
+    def test_point_at_or_below_one_rejected(self, c):
+        # log2 c = 1/(a*drho^gamma + b) has no finite penalty at c = 1
+        with pytest.raises(ValueError, match="complexity must be > 1"):
+            PenaltyPoint(delta_rho_db=0.5, c=c)
+
+    def test_point_just_above_one_accepted(self):
+        assert PenaltyPoint(delta_rho_db=0.5, c=math.nextafter(1.0, 2.0)).c > 1
+
 
 class TestCalibration64:
     """PARAMS_64 is tied to its simulated thresholds without Monte Carlo."""
@@ -227,6 +236,18 @@ class TestSerialization:
         assert params_from_json(doc.format("64.0")).n_anchor == 64
         with pytest.raises(ValueError, match="'n_anchor'"):
             params_from_json(doc.format("64.5"))
+
+    @pytest.mark.parametrize("b", [1 / 1024, 1e-4, 5e-324])
+    def test_b_with_infinite_max_complexity_rejected(self, b):
+        with pytest.raises(ValueError, match="1/1024"):
+            TradeoffParams(a=0.05, b=b, gamma_fit=0.4, n_anchor=64)
+        with pytest.raises(ValueError, match="1/1024"):
+            params_from_json(f'{{"n_anchor": 64, "a": 0.05, "b": {b!r}, "gamma_fit": 0.4}}')
+
+    def test_smallest_b_above_1_1024_has_finite_max_complexity(self):
+        params = TradeoffParams(a=0.05, b=math.nextafter(1 / 1024, 1.0), gamma_fit=0.4, n_anchor=64)
+        assert math.isfinite(params.max_complexity)
+        assert complexity_to_penalty(1e300, params) > 0
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

@@ -23,9 +23,10 @@ caps of either sign, both law extrapolations, a coarse --n-step, small
 seeded simulations, a `tradeoff --fit` document read back through
 --params-file, and usage/domain errors (a reversed lo:hi pair, an
 infinite `tradeoff --n`, empty --fit, --params-file and --config files,
-a fit point that is not finite, max-k without a finite blocklength
-range, empty default blocklength ranges, flags a scenario does not read,
-blocklengths below 2, an oversized max-rate rate grid, SNRs and power
+a fit point that is not finite or sits at c = 1, a law constant b at or
+below 1/1024, a complexity and a latency past the float range, max-k
+without a finite blocklength range, empty default blocklength ranges,
+flags a scenario does not read, blocklengths below 2, an oversized max-rate rate grid, SNRs and power
 caps past the linear SNR scale, sweep grids that are not finite,
 positive and bounded, `simulate` with both --snr-db and --eps, and
 negative seeds among them).
@@ -52,6 +53,8 @@ INPUT_FILES = {
     "params_null.json": '{"n_anchor": 64, "a": null, "b": 0.03, "gamma_fit": 0.4}\n',
     "params_bool.json": '{"n_anchor": 64, "a": true, "b": 0.03, "gamma_fit": 0.4}\n',
     "points_nan.csv": "delta_rho_db,c\n0.5,4096\nnan,900\n2.0,210\n4.0,60\n",
+    "points_c1.csv": "delta_rho_db,c\n0.5,1\n1,900\n2,210\n4,60\n",
+    "params_tiny_b.json": '{"n_anchor": 64, "a": 0.05, "b": 0.0001, "gamma_fit": 0.4}\n',
     "empty": "",
 }
 
@@ -66,6 +69,9 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "3:1"))
     for tb in BINOP_TIMES:
         cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb))
+    # a complexity, and a latency k*c*T_b, past the float range
+    cmds.append(("complexity", "--n", "4000", "--k", "2000", "--orders", "600:600"))
+    cmds.append(("complexity", "--n", "4000", "--k", "2000", "--orders", "0:0", "--dm", "1e300", "--tb", "1e-300"))
 
     for n in ("32", "64", "91", "128", "256", "1000"):
         cmds.append(("tradeoff", "--n", n, "--delta-rho-range", "0:10:0.5"))
@@ -82,6 +88,9 @@ def command_set() -> list[tuple[str, ...]]:
     cmds.append(("tradeoff", "--n", "inf"))
     cmds.append(("tradeoff", "--fit", "{tmp}/empty"))
     cmds.append(("tradeoff", "--fit", "{tmp}/points_nan.csv"))
+    # a fit point at c = 1, an infinite penalty, and a b whose 2^(1/b) overflows
+    cmds.append(("tradeoff", "--fit", "{tmp}/points_c1.csv"))
+    cmds.append(("tradeoff", "--params-file", "{tmp}/params_tiny_b.json"))
     cmds.append(("tradeoff", "--params-file", "{tmp}/empty"))
     cmds.append(("complexity", "--n", "128", "--k", "64", "--config", "{tmp}/empty"))
 

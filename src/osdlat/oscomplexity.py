@@ -106,9 +106,8 @@ def binomial_sum_bound_check(k: int, s: int) -> bool:
     """Whether sum_{i<=s} C(k,i) <= 2^(k h(s/k)) holds (s <= k/2 assumed)."""
     if k < 1 or s < 0 or 2 * s > k:
         raise ValueError(f"need k >= 1 and 0 <= s <= k/2, got k={k}, s={s}")
-    total = float(pattern_count(k, s))
-    bound = 2.0 ** (k * binary_entropy(s / k))
-    return total <= bound * (1.0 + 1e-12)
+    # in log2, which takes big ints: the float forms overflow near k = 1000
+    return math.log2(pattern_count(k, s)) <= k * binary_entropy(s / k) + math.log2(1.0 + 1e-12)
 
 
 def complexity_report(n: int, k: int, s: int) -> ComplexityReport:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from osdlat.oscomplexity import complexity_exact
 
@@ -175,6 +174,8 @@ def fit_params(points: list[PenaltyPoint], n_anchor: int) -> FitResult:
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = design @ coef - y
         return coef, float(resid @ resid)
+
+    from scipy import optimize  # imported here: only --fit needs it, and it costs every command ~0.25 s
 
     res = optimize.minimize_scalar(
         lambda g: solve(g)[1], bounds=(0.01, 5.0), method="bounded",

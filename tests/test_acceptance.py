@@ -223,10 +223,12 @@ def test_criterion_08a_full_order_osd_equals_ml():
     t0 = time.perf_counter()
     agreements = 0
     trials = 10_000
+    received = []
     for _ in range(trials):
         msg = rng.integers(0, 2, 4, dtype=np.uint8)
-        y = codecsim.transmit(code, codecsim.encode(code, msg), Snr(2.0), rng)
-        _, cw_hat = codecsim.osd_decode(code, y, 4)
+        received.append(codecsim.transmit(code, codecsim.encode(code, msg), Snr(2.0), rng))
+    _, cw_hats = codecsim.osd_decode(code, np.array(received), 4)
+    for y, cw_hat in zip(received, cw_hats):
         ml_dist = np.sum((y - (1.0 - 2.0 * words)) ** 2, axis=1)
         best = words[int(np.argmin(ml_dist))]
         if np.array_equal(cw_hat, best) or math.isclose(

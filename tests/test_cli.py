@@ -81,34 +81,6 @@ class TestRateCommand:
         rate = float(lines[1].split(",")[3])
         assert rate == pytest.approx(0.803, abs=5e-4)
 
-    def test_missing_flag_is_usage_error(self):
-        proc = run_cli("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1", check=False)
-        assert proc.returncode == 2
-        assert "usage" in proc.stderr.lower()
-
-    def test_malformed_range_is_domain_error(self):
-        proc = run_cli("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", check=False)
-        assert proc.returncode == 3
-
-    def test_non_finite_range_is_domain_error(self):
-        proc = run_cli("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", check=False)
-        assert proc.returncode == 3
-        assert "finite" in proc.stderr
-
-    def test_oversized_range_is_domain_error(self):
-        proc = run_cli(
-            "rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", check=False
-        )
-        assert proc.returncode == 3
-        assert "rows" in proc.stderr
-
-    @pytest.mark.parametrize("spec", ["3000:3100:50", "-1e308:0:1e308"])
-    def test_snr_without_linear_value_is_domain_error(self, spec):
-        proc = run_cli("rate", "--n", "128", "--eps", "1e-3", f"--snr-db-range={spec}", check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "linear" in proc.stderr
-
 
 class TestComplexityCommand:
     def test_table_and_sidecar(self, tmp_path):
@@ -123,22 +95,6 @@ class TestComplexityCommand:
         sidecar = json.loads((tmp_path / "complexity.csv.json").read_text())
         assert sidecar["s_star"] == 1
         assert sidecar["s_approx"] == pytest.approx(0.96, abs=0.01)
-
-    def test_reversed_orders_is_domain_error(self):
-        proc = run_cli("complexity", "--n", "128", "--k", "64", "--orders", "3:1", check=False)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert "3:1" in proc.stderr
-
-
-    @pytest.mark.parametrize(
-        "orders", [("--orders", "600:600"), ("--orders", "0:0", "--dm", "1e300", "--tb", "1e-300")]
-    )
-    def test_past_float_range_is_domain_error(self, orders):
-        proc = run_cli("complexity", "--n", "4000", "--k", "2000", *orders, check=False)
-        assert proc.returncode == 3
-        assert "exceeds the float range" in proc.stderr
-        assert proc.stdout == ""
 
 
 class TestTradeoffCommand:
@@ -183,72 +139,6 @@ class TestTradeoffCommand:
         c = float(proc.stdout.strip().splitlines()[1].split(",")[2])
         doc.pop("rms_residual")
         assert c == pytest.approx(penalty_to_complexity(2.0, TradeoffParams(**doc)), rel=1e-9)
-
-    def test_params_file_missing_key_is_domain_error(self, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text('{"n_anchor": 64, "a": 0.05, "gamma_fit": 0.4}')
-        proc = run_cli("tradeoff", "--params-file", str(params), check=False)
-        assert proc.returncode == 3
-        assert "missing keys" in proc.stderr and "'b'" in proc.stderr
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("tradeoff", "--params-file"),
-            ("tradeoff", "--fit"),
-            ("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file"),
-        ],
-    )
-    def test_missing_input_file_is_usage_error(self, tmp_path, args):
-        proc = run_cli(*args, str(tmp_path / "absent"), check=False)
-        assert proc.returncode == 2
-        assert "cannot read" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize(
-        "args,message",
-        [
-            (("tradeoff", "--fit"), "at least 3 points"),
-            (("tradeoff", "--params-file"), "Expecting value"),
-            (("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file"), "Expecting value"),
-        ],
-    )
-    def test_empty_input_file_is_domain_error(self, tmp_path, args, message):
-        empty = tmp_path / "empty"
-        empty.write_text("")
-        proc = run_cli(*args, str(empty), check=False)
-        assert proc.returncode == 3
-        assert message in proc.stderr
-        assert proc.stdout == ""
-
-    def test_fit_point_at_c_one_is_domain_error(self, tmp_path):
-        points = tmp_path / "points.csv"
-        points.write_text("delta_rho_db,c\n0.5,1\n1,900\n2,210\n4,60\n")
-        proc = run_cli("tradeoff", "--fit", str(points), check=False)
-        assert proc.returncode == 3
-        assert "complexity must be > 1, got 1.0" in proc.stderr
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("tradeoff",),
-            ("scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "60:62"),
-        ],
-    )
-    def test_params_file_with_tiny_b_is_domain_error(self, tmp_path, args):
-        params = tmp_path / "params.json"
-        params.write_text('{"n_anchor": 64, "a": 0.05, "b": 0.0001, "gamma_fit": 0.4}')
-        proc = run_cli(*args, "--params-file", str(params), check=False)
-        assert proc.returncode == 3
-        assert "1/1024" in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("n", ["inf", "1e400"])
-    def test_infinite_blocklength_is_domain_error(self, n):
-        proc = run_cli("tradeoff", "--n", n, check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "finite" in proc.stderr
 
     @pytest.mark.parametrize("row", ["nan,900", "inf,900", "2.0,nan", "2.0,inf"])
     def test_non_finite_fit_point_is_domain_error(self, tmp_path, row):
@@ -300,46 +190,6 @@ class TestSimulateCommand:
         assert sidecar["reached"]
         assert sidecar["required_snr_db"] is not None
 
-    def test_order_above_k_is_domain_error(self):
-        proc = run_cli("simulate", "--code", "8x4", "--order", "99", "--snr-db", "6", check=False)
-        assert proc.returncode == 3
-
-    def test_unsupported_code_is_domain_error(self):
-        proc = run_cli("simulate", "--code", "10x5", "--order", "0", "--snr-db", "6", check=False)
-        assert proc.returncode == 3
-
-    @pytest.mark.parametrize(("code", "snr"), [("64x36", "3100"), ("8x4", "-1e308")])
-    def test_snr_without_linear_value_is_domain_error(self, code, snr):
-        proc = run_cli("simulate", "--code", code, "--order", "0", f"--snr-db={snr}", check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "linear" in proc.stderr
-
-    # 0.00015 dB is the first grid past MAX_RANGE_ROWS points over the 15 dB span
-    @pytest.mark.parametrize("grid", ["1e-12", "0.00015", "nan", "inf", "0", "-0.25"])
-    def test_bad_sweep_grid_is_domain_error(self, grid):
-        proc = run_cli("simulate", "--code", "8x4", "--order", "0", "--eps", "1e-2",
-                       f"--grid-db={grid}", "--max-trials", "10", check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--grid-db" in proc.stderr
-
-    def test_snr_and_eps_together_is_domain_error(self):
-        proc = run_cli("simulate", "--code", "8x4", "--order", "0", "--eps", "1e-2",
-                       "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3", check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--snr-db" in proc.stderr and "--eps" in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("mode", [("--snr-db", "3"), ("--eps", "1e-2")])
-    def test_negative_seed_names_the_flag(self, mode):
-        proc = run_cli("simulate", "--code", "8x4", "--order", "0", *mode, "--seed=-1", check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--seed" in proc.stderr
-        assert proc.stdout == ""
-
 
 class TestScenarioCommand:
     def test_max_k_summary(self, tmp_path):
@@ -382,62 +232,6 @@ class TestScenarioCommand:
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
-    def test_missing_scenario_inputs_domain_error(self):
-        proc = run_cli("scenario", "--which", "max-k", "--dm", "1e-3", check=False)
-        assert proc.returncode == 3
-
-    @pytest.mark.parametrize("cap", ["-inf", "nan"])
-    def test_non_finite_power_cap_is_domain_error(self, cap):
-        proc = run_cli(
-            "scenario", "--which", "min-latency", "--k", "64", f"--pm-db={cap}",
-            "--n-range", "64:80", check=False,
-        )
-        assert proc.returncode == 3
-        assert "power_cap_db" in proc.stderr
-
-    def test_reversed_n_range_is_domain_error(self):
-        proc = run_cli(
-            "scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5",
-            "--n-range", "50:2", check=False,
-        )
-        assert proc.returncode == 3
-        assert "50:2" in proc.stderr
-
-    @pytest.mark.parametrize("args", [(), ("--dm", "1e-3", "--ts", "1e-300")])
-    def test_max_k_without_finite_range_is_domain_error(self, args):
-        proc = run_cli("scenario", "--which", "max-k", "--pm-db", "5", *args, check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--n-range" in proc.stderr
-
-    def test_oversized_n_range_is_domain_error(self):
-        # just over MAX_RANGE_ROWS: a sweep built before the check would be slow, not huge
-        proc = run_cli(
-            "scenario", "--which", "max-k", "--dm", "1e-3", "--pm-db", "5",
-            "--n-range", "2:200002", check=False,
-        )
-        assert proc.returncode == 3
-        assert "rows" in proc.stderr
-
-    def test_n_range_must_start_at_k(self):
-        proc = run_cli(
-            "scenario", "--which", "min-latency", "--k", "64", "--pm-db", "5",
-            "--n-range", "2:100", check=False,
-        )
-        assert proc.returncode == 3
-        assert "--n-range" in proc.stderr
-        assert "--k" in proc.stderr
-
-    @pytest.mark.parametrize("n", ["-5", "0", "1"])
-    @pytest.mark.parametrize("tb", ["0", "1e-9"])
-    def test_max_rate_blocklength_below_two_is_domain_error(self, n, tb):
-        proc = run_cli(
-            "scenario", "--which", "max-rate", f"--n={n}", "--dm", "1e-3", "--tb", tb, check=False,
-        )
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--n " in proc.stderr
-
     @pytest.mark.parametrize(("cap", "feasible"), [("-4000", False), ("1e308", True)])
     def test_power_cap_past_linear_scale(self, tmp_path, cap, feasible):
         out = tmp_path / "k.csv"
@@ -445,29 +239,6 @@ class TestScenarioCommand:
                 "--n-range", "60:62", "--out", str(out))
         sidecar = json.loads((tmp_path / "k.csv.json").read_text())
         assert (sidecar["optimum"] is not None) == feasible
-
-    @pytest.mark.parametrize("step", ["1e-7", "5e-324"])
-    def test_max_rate_oversized_rate_grid_is_domain_error(self, step):
-        proc = run_cli("scenario", "--which", "max-rate", "--n", "128", "--rate-step", step,
-                       check=False)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "--rate-step" in proc.stderr
-
-    @pytest.mark.parametrize(
-        ("which", "args", "message"),
-        [
-            ("max-rate", ("--n", "128", "--n-range", "5:1"), "reads neither --n-range nor --k"),
-            ("max-rate", ("--n", "128", "--k", "64"), "reads neither --n-range nor --k"),
-            ("max-k", ("--pm-db", "5", "--n-range", "100:104", "--n", "128"), "reads neither --n nor --k"),
-            ("max-k", ("--pm-db", "5", "--n-range", "100:104", "--k", "50"), "reads neither --n nor --k"),
-            ("min-latency", ("--k", "64", "--pm-db", "5", "--n", "128"), "does not read --n\n"),
-        ],
-    )
-    def test_unread_flag_is_domain_error(self, which, args, message):
-        proc = run_cli("scenario", "--which", which, "--dm", "1e-3", *args, check=False)
-        assert proc.returncode == 3
-        assert message in proc.stderr
 
     @pytest.mark.parametrize(
         ("args", "flag"),
@@ -513,33 +284,12 @@ class TestConfigFile:
         assert len(lines) == 2
         assert float(lines[1].split(",")[3]) == pytest.approx(0.803, abs=5e-4)
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"bogus_flag": 1}')
-        proc = run_cli(
-            "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
-            "--config", str(cfg), check=False,
-        )
-        assert proc.returncode == 2
-        assert "bogus_flag" in proc.stderr
-
     def test_string_value_is_type_converted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": "128"}')
         base = ("rate", "--eps", "1e-3", "--snr-db-range", "0:2:1")
         proc = run_cli(*base, "--n", "64", "--config", str(cfg))
         assert proc.stdout == run_cli(*base, "--n", "128").stdout
-
-    def test_invalid_choice_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"which": "bogus"}')
-        proc = run_cli(
-            "scenario", "--which", "min-latency", "--k", "64", "--pm-db", "10",
-            "--config", str(cfg), check=False,
-        )
-        assert proc.returncode == 2
-        assert "bogus" in proc.stderr
-        assert all(name in proc.stderr for name in ("max-rate", "max-k", "min-latency"))
 
     def test_negative_value_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -552,33 +302,6 @@ class TestConfigFile:
         doc = json.loads((tmp_path / "maxk.csv.json").read_text())
         assert doc["config"]["power_cap_db"] == -30.0
         assert doc["optimum"] is None
-
-    def test_missing_config_file_is_usage_error(self, tmp_path):
-        proc = run_cli(
-            "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
-            "--config", str(tmp_path / "absent.json"), check=False,
-        )
-        assert proc.returncode == 2
-        assert "cannot read" in proc.stderr
-
-    def test_invalid_json_config_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        proc = run_cli(
-            "rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1",
-            "--config", str(cfg), check=False,
-        )
-        assert proc.returncode == 2
-        assert "not valid JSON" in proc.stderr
-
-    def test_empty_config_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("")
-        proc = run_cli(
-            "complexity", "--n", "128", "--k", "64", "--config", str(cfg), check=False,
-        )
-        assert proc.returncode == 2
-        assert "not valid JSON" in proc.stderr
 
 
 def _sweep_args(lo, hi, step):
@@ -640,9 +363,22 @@ class TestWorkersVariable:
             cli._workers()
 
 
-def test_golden_command_set_has_no_traceback(monkeypatch):
-    # golden_cli stores an uncaught exception as exit code 1
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
-    results = _golden_tool().run_commands()
-    crashed = [(" ".join(r["argv"]), r["stderr"]) for r in results if r["rc"] == 1]
-    assert not crashed
+CASES = _golden_tool().command_set()
+
+
+@pytest.fixture(scope="module")
+def case_results():
+    """Every golden case run once, in table order: a `--fit ... --out` case feeds the next."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.WORKERS_ENV, "1")  # run_commands sets it too; leaving the context restores it
+        return _golden_tool().run_commands()
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(case.argv) for case in CASES])
+def test_case(case_results, index):
+    """The declared exit code (an uncaught exception reads 1), stderr fragments, and no stdout on failure."""
+    case, result = CASES[index], case_results[index]
+    assert result["rc"] == case.rc, result["stderr"]
+    assert [f for f in case.stderr if f not in result["stderr"]] == [], result["stderr"]
+    if case.rc:
+        assert result["stdout"] == ""

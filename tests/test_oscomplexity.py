@@ -146,6 +146,11 @@ class TestBinomialSumBound:
         with pytest.raises(ValueError):
             binomial_sum_bound_check(10, 6)
 
+    def test_sums_past_the_float_range(self):
+        # C(2000, 600) alone is about 2^1757, past the largest float
+        assert binomial_sum_bound_check(2000, 600)
+        assert binomial_sum_bound_check(2000, 1000)
+
 
 class TestComplexityReport:
     def test_dominance_flag_matches_term_comparison(self):

@@ -3,33 +3,25 @@
     PYTHONPATH=src python3 tools/golden_cli.py capture OUT.json
     python3 tools/golden_cli.py diff A.json B.json
 
-``capture`` runs a fixed command set in-process through
+``command_set()`` is the one list of command-line cases: each ``Case``
+holds an argv, the exit code it must end with (0 success, 2 usage error,
+3 domain error) and fragments its stderr must contain.
+``tests/test_cli.py`` runs the list and checks every case, and that a
+command exiting nonzero leaves stdout empty.
+
+``capture`` runs the list in order, in-process through
 ``osdlat.cli.main`` (whichever ``osdlat`` is importable, so point
-PYTHONPATH at the source tree under test) and stores the exit code,
+PYTHONPATH at the source tree under test), and stores the exit code,
 stdout and stderr of every command.  Without ``--out`` the CSV goes to
 stdout and the JSON sidecar to stderr, so both are captured.  Input files
-(law parameters, fit points, a config document) are written to a
-temporary directory whose path is replaced by ``{tmp}`` in the stored
-argv and outputs.  An uncaught exception is stored as exit code 1 with
+(``INPUT_FILES``) are written to a temporary directory whose path is
+replaced by ``{tmp}`` in the stored argv and outputs; ``{tmp}/absent`` is
+never written.  An uncaught exception is stored as exit code 1 with
 ``Type: message`` on stderr, without the traceback, whose file paths
 differ between checkouts.
 
 ``diff`` prints every command whose stored results differ, with a
 unified diff of each stream that changed, and exits 1 when any differ.
-
-The set covers every sub-command, epsilon from 1e-1 to 1e-9, binary
-operation times 0, 0.1 ns and 1 ns, all three scenarios, infinite power
-caps of either sign, both law extrapolations, a coarse --n-step, small
-seeded simulations, a `tradeoff --fit` document read back through
---params-file, and usage/domain errors (a reversed lo:hi pair, an
-infinite `tradeoff --n`, empty --fit, --params-file and --config files,
-a fit point that is not finite or sits at c = 1, a law constant b at or
-below 1/1024, a complexity and a latency past the float range, max-k
-without a finite blocklength range, empty default blocklength ranges,
-flags a scenario does not read, blocklengths below 2, an oversized max-rate rate grid, SNRs and power
-caps past the linear SNR scale, sweep grids that are not finite,
-positive and bounded, `simulate` with both --snr-db and --eps, and
-negative seeds among them).
 """
 
 from __future__ import annotations
@@ -42,6 +34,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 EPSILONS = tuple(f"1e-{i}" for i in range(1, 10))
 BINOP_TIMES = ("0", "1e-10", "1e-9")
@@ -52,107 +45,162 @@ INPUT_FILES = {
     "cfg.json": '{"n": 1000, "snr_db_range": "5:5:1"}\n',
     "params_null.json": '{"n_anchor": 64, "a": null, "b": 0.03, "gamma_fit": 0.4}\n',
     "params_bool.json": '{"n_anchor": 64, "a": true, "b": 0.03, "gamma_fit": 0.4}\n',
+    "params_no_b.json": '{"n_anchor": 64, "a": 0.05, "gamma_fit": 0.4}\n',
     "points_nan.csv": "delta_rho_db,c\n0.5,4096\nnan,900\n2.0,210\n4.0,60\n",
     "points_c1.csv": "delta_rho_db,c\n0.5,1\n1,900\n2,210\n4,60\n",
     "params_tiny_b.json": '{"n_anchor": 64, "a": 0.05, "b": 0.0001, "gamma_fit": 0.4}\n',
+    "cfg_unknown_key.json": '{"bogus_flag": 1}\n',
+    "cfg_bad_choice.json": '{"which": "bogus"}\n',
+    "cfg_not_json.json": "{not json\n",
     "empty": "",
 }
 
 
-def command_set() -> list[tuple[str, ...]]:
-    cmds: list[tuple[str, ...]] = []
-    for eps in EPSILONS:
-        cmds.append(("rate", "--n", "128", "--eps", eps, "--snr-db-range=-2:8:0.5"))
-    cmds.append(("rate", "--n", "1000", "--eps", "1e-3", "--snr-db-range", "5:5:1", "--nodes", "64"))
+class Case(NamedTuple):
+    argv: tuple[str, ...]
+    rc: int = 0
+    stderr: tuple[str, ...] = ()  # fragments stderr must contain
 
-    cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "0:3"))
-    cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "3:1"))
+
+def command_set() -> list[Case]:
+    cases: list[Case] = []
+
+    def add(*argv: str, rc: int = 0, err: str | tuple[str, ...] = ()) -> None:
+        cases.append(Case(argv, rc, (err,) if isinstance(err, str) else err))
+
+    for eps in EPSILONS:
+        add("rate", "--n", "128", "--eps", eps, "--snr-db-range=-2:8:0.5")
+    add("rate", "--n", "1000", "--eps", "1e-3", "--snr-db-range", "5:5:1", "--nodes", "64")
+
+    add("complexity", "--n", "128", "--k", "64", "--orders", "0:3")
+    add("complexity", "--n", "128", "--k", "64", "--orders", "3:1", rc=3, err="'3:1'")
     for tb in BINOP_TIMES:
-        cmds.append(("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb))
+        add("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb)
     # a complexity, and a latency k*c*T_b, past the float range
-    cmds.append(("complexity", "--n", "4000", "--k", "2000", "--orders", "600:600"))
-    cmds.append(("complexity", "--n", "4000", "--k", "2000", "--orders", "0:0", "--dm", "1e300", "--tb", "1e-300"))
+    add("complexity", "--n", "4000", "--k", "2000", "--orders", "600:600",
+        rc=3, err="exceeds the float range")
+    add("complexity", "--n", "4000", "--k", "2000", "--orders", "0:0", "--dm", "1e300", "--tb", "1e-300",
+        rc=3, err="exceeds the float range")
 
     for n in ("32", "64", "91", "128", "256", "1000"):
-        cmds.append(("tradeoff", "--n", n, "--delta-rho-range", "0:10:0.5"))
+        add("tradeoff", "--n", n, "--delta-rho-range", "0:10:0.5")
     for n in ("256", "1000"):
-        cmds.append(("tradeoff", "--n", n, "--extrapolation", "clamp"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/params.json", "--delta-rho-range", "0:6:1"))
-    cmds.append(("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64"))
-    # a fitted document read back, then documents with non-numeric constants
-    cmds.append(("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64", "--out", "{tmp}/fit.json"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/fit.json", "--delta-rho-range", "0:6:1"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/params_null.json"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/params_bool.json"))
+        add("tradeoff", "--n", n, "--extrapolation", "clamp")
+    add("tradeoff", "--params-file", "{tmp}/params.json", "--delta-rho-range", "0:6:1")
+    add("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64")
+    # a fitted document read back, then documents with non-numeric constants or a missing one
+    add("tradeoff", "--fit", "{tmp}/points.csv", "--n-anchor", "64", "--out", "{tmp}/fit.json")
+    add("tradeoff", "--params-file", "{tmp}/fit.json", "--delta-rho-range", "0:6:1")
+    add("tradeoff", "--params-file", "{tmp}/params_null.json", rc=3, err="parameter 'a' must be a finite number")
+    add("tradeoff", "--params-file", "{tmp}/params_bool.json", rc=3, err="parameter 'a' must be a finite number")
+    add("tradeoff", "--params-file", "{tmp}/params_no_b.json", rc=3, err=("missing keys", "'b'"))
     # an infinite blocklength, empty input files and a fit point that is not finite
-    cmds.append(("tradeoff", "--n", "inf"))
-    cmds.append(("tradeoff", "--fit", "{tmp}/empty"))
-    cmds.append(("tradeoff", "--fit", "{tmp}/points_nan.csv"))
+    add("tradeoff", "--n", "inf", rc=3, err="finite")
+    add("tradeoff", "--n", "1e400", rc=3, err="finite")
+    add("tradeoff", "--fit", "{tmp}/empty", rc=3, err="at least 3 points")
+    add("tradeoff", "--fit", "{tmp}/points_nan.csv", rc=3, err="penalty point must be finite")
     # a fit point at c = 1, an infinite penalty, and a b whose 2^(1/b) overflows
-    cmds.append(("tradeoff", "--fit", "{tmp}/points_c1.csv"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/params_tiny_b.json"))
-    cmds.append(("tradeoff", "--params-file", "{tmp}/empty"))
-    cmds.append(("complexity", "--n", "128", "--k", "64", "--config", "{tmp}/empty"))
+    add("tradeoff", "--fit", "{tmp}/points_c1.csv", rc=3, err="complexity must be > 1, got 1.0")
+    add("tradeoff", "--params-file", "{tmp}/params_tiny_b.json", rc=3, err="1/1024")
+    add("tradeoff", "--params-file", "{tmp}/empty", rc=3, err="Expecting value")
+    # input files that cannot be read
+    add("tradeoff", "--params-file", "{tmp}/absent", rc=2, err="cannot read")
+    add("tradeoff", "--fit", "{tmp}/absent", rc=2, err="cannot read")
+
+    # --config documents: empty, not JSON, an unknown key, absent, a bad choice
+    cfg = ("complexity", "--n", "128", "--k", "64", "--config")
+    add(*cfg, "{tmp}/empty", rc=2, err="not valid JSON")
+    add(*cfg, "{tmp}/cfg_not_json.json", rc=2, err="not valid JSON")
+    add(*cfg, "{tmp}/cfg_unknown_key.json", rc=2, err="bogus_flag")
+    add(*cfg, "{tmp}/absent", rc=2, err="cannot read")
+    add("scenario", "--which", "max-k", "--config", "{tmp}/cfg_bad_choice.json",
+        rc=2, err=("bogus", "max-rate", "max-k", "min-latency"))
 
     sim = ("simulate", "--code", "8x4")
-    cmds.append(sim + ("--order", "2", "--snr-db", "5", "--seed", "3", "--min-errors", "10", "--max-trials", "2000"))
-    cmds.append(sim + ("--order", "4", "--eps", "3e-2", "--seed", "5", "--min-errors", "40"))
-    cmds.append(("simulate", "--code", "16x11", "--order", "1", "--snr-db", "4", "--seed", "9",
-                 "--min-errors", "20", "--max-trials", "3000"))
+    add(*sim, "--order", "2", "--snr-db", "5", "--seed", "3", "--min-errors", "10", "--max-trials", "2000")
+    add(*sim, "--order", "4", "--eps", "3e-2", "--seed", "5", "--min-errors", "40")
+    add("simulate", "--code", "16x11", "--order", "1", "--snr-db", "4", "--seed", "9",
+        "--min-errors", "20", "--max-trials", "3000")
+    # an order above k and a code that is not built in
+    add(*sim, "--order", "99", "--snr-db", "6", rc=3, err="order")
+    add("simulate", "--code", "10x5", "--order", "0", "--snr-db", "6", rc=3, err="not a supported")
     # SNRs whose linear value overflows or underflows, and sweep grids that are
     # not finite and positive or that give more than MAX_RANGE_ROWS points
-    cmds.append(("simulate", "--code", "64x36", "--order", "0", "--snr-db", "3100"))
-    cmds.append(sim + ("--order", "0", "--snr-db=-1e308"))
+    # (0.00015 dB is the first such grid over the 15 dB span)
+    add("simulate", "--code", "64x36", "--order", "0", "--snr-db", "3100", rc=3, err="linear")
+    add(*sim, "--order", "0", "--snr-db=-1e308", rc=3, err="linear")
     for grid in ("1e-12", "nan", "inf", "0"):
-        cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--grid-db", grid, "--max-trials", "10"))
+        add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", grid, "--max-trials", "10", rc=3, err="--grid-db")
+    add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", "0.00015", rc=3, err="--grid-db")
+    add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db=-0.25", rc=3, err="--grid-db")
     # both modes at once, and a negative seed in either mode
-    cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3"))
-    cmds.append(sim + ("--order", "0", "--snr-db", "3", "--seed=-1"))
-    cmds.append(sim + ("--order", "0", "--eps", "1e-2", "--seed=-1", "--max-trials", "10"))
+    add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3",
+        rc=3, err=("--snr-db", "--eps"))
+    add(*sim, "--order", "0", "--snr-db", "3", "--seed=-1", rc=3, err="--seed")
+    add(*sim, "--order", "0", "--eps", "1e-2", "--seed=-1", "--max-trials", "10", rc=3, err="--seed")
 
     scn = ("scenario", "--which")
     for eps in EPSILONS:
         for tb in BINOP_TIMES:
-            cmds.append(scn + ("max-rate", "--n", "128", "--dm", "0.25e-3", "--pm-db", "6", "--eps", eps, "--tb", tb))
-            cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--eps", eps, "--tb", tb))
-            cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "10", "--n-range", "64:400",
-                               "--n-step", "3", "--eps", eps, "--tb", tb))
+            add(*scn, "max-rate", "--n", "128", "--dm", "0.25e-3", "--pm-db", "6", "--eps", eps, "--tb", tb)
+            add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--eps", eps, "--tb", tb)
+            add(*scn, "min-latency", "--k", "64", "--pm-db", "10", "--n-range", "64:400",
+                "--n-step", "3", "--eps", eps, "--tb", tb)
     for tb in BINOP_TIMES:
-        cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--tb", tb))
+        add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--tb", tb)
     for pm in ("3", "5", "10", "inf"):
-        cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", pm))
-    cmds.append(scn + ("max-rate", "--n", "128", "--dm", "1e9"))
-    cmds.append(scn + ("max-rate", "--n", "64", "--dm", "1e-3", "--rate-step", "0.01", "--pm-db", "inf"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--extrapolation", "clamp"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-30", "--n-range", "2:50"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "inf"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-inf"))
+        add(*scn, "min-latency", "--k", "64", "--pm-db", pm)
+    add(*scn, "max-rate", "--n", "128", "--dm", "1e9")
+    add(*scn, "max-rate", "--n", "64", "--dm", "1e-3", "--rate-step", "0.01", "--pm-db", "inf")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--extrapolation", "clamp")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db=-30", "--n-range", "2:50")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "inf", rc=3, err="finite power_cap_db")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db=-inf", rc=3, err="power_cap_db")
+    add(*scn, "max-k", "--dm", "1e-3", rc=3, err="--pm-db")
     # power caps past either end of the linear SNR scale
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db=-4000", "--n-range", "60:70"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "1e308", "--n-range", "60:62"))
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db=-4000", "--n-range", "60:70")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "1e308", "--n-range", "60:62")
     # max-k without --n-range: an infinite deadline, and one bounding a 1e297-row sweep
-    cmds.append(scn + ("max-k", "--pm-db", "5"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--ts", "1e-300"))
-    cmds.append(scn + ("min-latency", "--k", "64", "--pm-db=-inf", "--n-range", "64:80"))
-    cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "5", "--extrapolation", "clamp",
-                       "--params-file", "{tmp}/params.json"))
-    # ranges a scenario does not read or that come out empty, and payloads or blocklengths below 2
-    cmds.append(scn + ("max-rate", "--n", "128", "--dm", "1e-3", "--n-range", "5:1"))
-    cmds.append(scn + ("max-k", "--pm-db", "5", "--dm", "1e-3", "--ts", "1e-2"))
-    cmds.append(scn + ("min-latency", "--k", "2000", "--pm-db", "5"))
-    cmds.append(scn + ("min-latency", "--k", "64", "--pm-db", "5", "--n-range", "2:100"))
-    cmds.append(scn + ("min-latency", "--k", "0", "--pm-db", "5"))
-    cmds.append(scn + ("max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "100:104", "--k", "50"))
-    cmds.append(scn + ("max-rate", "--n", "0", "--dm", "1e-3"))
-    # a rate grid of 10^7 rows
-    cmds.append(scn + ("max-rate", "--n", "128", "--rate-step", "1e-7"))
+    add(*scn, "max-k", "--pm-db", "5", rc=3, err="--n-range")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--ts", "1e-300", rc=3, err=("rows", "--n-range"))
+    # --n-range reversed, or just over MAX_RANGE_ROWS rows
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "50:2", rc=3, err="50:2")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "2:200002", rc=3, err="rows")
+    add(*scn, "min-latency", "--k", "64", "--pm-db=-inf", "--n-range", "64:80", rc=3, err="power_cap_db")
+    add(*scn, "min-latency", "--k", "64", "--pm-db=nan", "--n-range", "64:80", rc=3, err="power_cap_db")
+    add(*scn, "min-latency", "--k", "64", "--pm-db", "5", "--extrapolation", "clamp",
+        "--params-file", "{tmp}/params.json")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file", "{tmp}/absent", rc=2, err="cannot read")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file", "{tmp}/empty", rc=3, err="Expecting value")
+    add(*scn, "max-k", "--pm-db", "5", "--params-file", "{tmp}/params_tiny_b.json", rc=3, err="1/1024")
+    # flags a scenario does not read, ranges that come out empty, and payloads or blocklengths below 2
+    add(*scn, "max-rate", "--n", "128", "--dm", "1e-3", "--n-range", "5:1", rc=3, err="reads neither --n-range nor --k")
+    add(*scn, "max-rate", "--n", "128", "--dm", "1e-3", "--k", "64", rc=3, err="reads neither --n-range nor --k")
+    add(*scn, "max-k", "--pm-db", "5", "--dm", "1e-3", "--ts", "1e-2", rc=3, err="--dm/--ts")
+    add(*scn, "min-latency", "--k", "2000", "--pm-db", "5", rc=3, err="--k")
+    add(*scn, "min-latency", "--k", "64", "--pm-db", "5", "--n-range", "2:100", rc=3, err=("--n-range", "--k"))
+    add(*scn, "min-latency", "--k", "0", "--pm-db", "5", rc=3, err="--k")
+    add(*scn, "min-latency", "--k", "64", "--pm-db", "5", "--dm", "1e-3", "--n", "128", rc=3, err="does not read --n\n")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "100:104", "--k", "50",
+        rc=3, err="reads neither --n nor --k")
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-range", "100:104", "--n", "128",
+        rc=3, err="reads neither --n nor --k")
+    add(*scn, "max-rate", "--n", "0", "--dm", "1e-3", rc=3, err="--n ")
+    for n in ("-5", "0", "1"):
+        for tb in ("0", "1e-9"):
+            add(*scn, "max-rate", f"--n={n}", "--dm", "1e-3", "--tb", tb, rc=3, err="--n ")
+    # rate grids of 10^7 rows, and of a step so small that the row count is infinite
+    add(*scn, "max-rate", "--n", "128", "--rate-step", "1e-7", rc=3, err="--rate-step")
+    add(*scn, "max-rate", "--n", "128", "--rate-step", "5e-324", rc=3, err="--rate-step")
 
-    cmds.append(("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json"))
-    cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope"))
-    cmds.append(("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1"))
-    cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "3000:3100:50"))
-    cmds.append(("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range=-1e308:0:1e308"))
-    return cmds
+    add("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", rc=3, err="start:stop:step")
+    add("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=2, err=("usage: osdlat rate", "--n"))
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", rc=3, err="finite")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", rc=3, err="rows")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "3000:3100:50", rc=3, err="linear")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range=-1e308:0:1e308", rc=3, err="linear")
+    return cases
 
 
 def run_one(main, argv: list[str]) -> tuple[int, str, str]:
@@ -177,11 +225,11 @@ def run_commands() -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in INPUT_FILES.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        for cmd in command_set():
-            argv = [part.replace("{tmp}", tmp) for part in cmd]
+        for case in command_set():
+            argv = [part.replace("{tmp}", tmp) for part in case.argv]
             rc, out, err = run_one(main, argv)
             results.append({
-                "argv": list(cmd),
+                "argv": list(case.argv),
                 "rc": rc,
                 "stdout": out.replace(tmp, "{tmp}"),
                 "stderr": err.replace(tmp, "{tmp}"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -297,7 +298,9 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its sub-parsers by command, built once per process; parsing does not change them."""
     parser = argparse.ArgumentParser(
         prog="osdlat",
         description="Latency- and complexity-aware short-packet link tools",

@@ -93,7 +93,7 @@ def _generator_poly(roots, exp, log) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSpec:
     """An (n, k, d_min) binary linear code with its generator matrix."""
 
@@ -114,7 +114,7 @@ class CodeSpec:
         whose rows in pivot order are inv(G[:, J]).  Column j's coordinates
         give the parity check c_j = sum of c_J over them, one row of H.  A
         pivot inside the identity block means G is rank deficient:
-        ValueError.
+        ValueError.  The three arrays are read-only.
         """
         k, n = self.generator.shape
         aug = np.concatenate([self.generator, np.eye(k, dtype=np.uint8)], axis=1)
@@ -128,9 +128,13 @@ class CodeSpec:
         checks = np.zeros((n - k, n), dtype=np.uint8)
         checks[np.arange(n - k), others] = 1
         checks[:, pivots] = reduced[np.ix_(others, pivot_rows)]
-        return pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
+        arrays = pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
 
+@functools.lru_cache(maxsize=None)
 def build_ebch(n: int, k: int) -> CodeSpec:
     """Extended BCH code: cyclic BCH(n-1, k) plus an overall parity column.
 
@@ -139,7 +143,8 @@ def build_ebch(n: int, k: int) -> CodeSpec:
     parameters that the construction cannot hit exactly raise
     ConstructionError.  The minimum distance is the design distance of the
     cyclic code (the first power of alpha that is not a root) plus one for
-    the extension.
+    the extension.  Built once per (n, k): every call returns the same
+    code, whose generator and reduced arrays are read-only.
     """
     m = n.bit_length() - 1
     if n != 1 << m or m not in _PRIMITIVE_POLY:
@@ -165,6 +170,7 @@ def build_ebch(n: int, k: int) -> CodeSpec:
     for r in range(k):
         rows[r, r : r + target + 1] = gen
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
+    rows.flags.writeable = False
     code = CodeSpec(n=n, k=k, d_min=d_min, generator=rows)
     try:
         code.reduced  # reduce now, so that a rank-deficient generator fails construction

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 LOG2E = math.log2(math.e)
 # Gauss-Hermite nodes for the capacity and dispersion integrals.
@@ -69,6 +68,8 @@ def validate_rate(rate: float) -> float:
 
 def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = P(Z > x) for standard normal Z."""
+    from scipy import special  # imported on first use: commands that never call it skip its ~0.3 s
+
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"q_func argument must be finite, got {x}")
@@ -80,6 +81,8 @@ def q_func(x: float) -> float:
 
 def q_inv(p: float) -> float:
     """Inverse of q_func: the x with Q(x) = p."""
+    from scipy import special
+
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inv argument must be in (0, 1), got {p}")
@@ -88,6 +91,8 @@ def q_inv(p: float) -> float:
 
 @lru_cache(maxsize=64)
 def _hermgauss(nodes: int):
+    from scipy import special
+
     if nodes < 32:
         raise ValueError("quadrature_nodes must be at least 32")
     x, w = special.roots_hermite(nodes)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -65,6 +66,32 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_scipy_loads_only_for_the_commands_that_need_it(self):
+        """complexity, tradeoff --n and simulate --snr-db load no scipy module; rate loads scipy.special."""
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from osdlat import cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(list(argv)) == 0, argv
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            print(json.dumps([
+                run("complexity", "--n", "128", "--k", "64"),
+                run("tradeoff", "--n", "128"),
+                run("simulate", "--code", "64x36", "--order", "1", "--snr-db", "3",
+                    "--max-trials", "512", "--seed", "1"),
+                run("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1:1"),
+            ]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k != cli.WORKERS_ENV}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        *no_scipy, after_rate = json.loads(proc.stdout)
+        assert no_scipy == [[], [], []]
+        assert "scipy.special" in after_rate
 
 
 class TestRateCommand:
@@ -369,9 +396,19 @@ CASES = _golden_tool().command_set()
 @pytest.fixture(scope="module")
 def case_results():
     """Every golden case run once, in table order: a `--fit ... --out` case feeds the next."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(cli.WORKERS_ENV, "1")  # run_commands sets it too; leaving the context restores it
-        return _golden_tool().run_commands()
+    return _golden_tool().run_commands()
+
+
+@pytest.mark.parametrize("before", [None, "2"])
+def test_run_commands_restores_workers(monkeypatch, before):
+    tool = _golden_tool()
+    monkeypatch.setattr(tool, "command_set", lambda: [tool.Case(("complexity", "--n", "8", "--k", "4"))])
+    if before is None:
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.WORKERS_ENV, before)
+    assert tool.run_commands()[0]["rc"] == 0
+    assert os.environ.get(cli.WORKERS_ENV) == before
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(case.argv) for case in CASES])

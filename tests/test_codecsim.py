@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -58,10 +59,15 @@ class TestConstruction:
         assert "reduced" in vars(code)
 
     def test_reduction_is_pickled_with_the_code(self, code6436):
-        # pool workers receive the code pickled and must not reduce it again
+        # pool workers receive the code pickled, must not reduce it again, and decode as it does
         copy = pickle.loads(pickle.dumps(code6436))
         assert "reduced" in vars(copy)
         for got, want in zip(copy.reduced, code6436.reduced):
+            assert np.array_equal(got, want)
+        rng = np.random.default_rng(15)
+        codewords = encode(code6436, rng.integers(0, 2, (64, code6436.k)))
+        y = 1.0 - 2.0 * codewords + 0.6 * rng.standard_normal(codewords.shape)
+        for got, want in zip(osd_decode(copy, y, 2), osd_decode(code6436, y, 2)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (64, 57), (128, 57), (256, 247)])
@@ -84,12 +90,29 @@ class TestConstruction:
         assert weights.sum() == 16
 
     def test_unsupported_parameters(self):
-        with pytest.raises(ConstructionError):
-            build_ebch(16, 9)
+        for _ in range(2):  # a failed construction is not cached: every call raises
+            with pytest.raises(ConstructionError):
+                build_ebch(16, 9)
         with pytest.raises(ConstructionError):
             build_ebch(10, 5)
         with pytest.raises(ConstructionError):
             build_ebch(8, 8)
+
+
+class TestSharedCode:
+    """build_ebch returns one code per (n, k), shared by every caller and changed by none."""
+
+    def test_one_code_per_parameters(self):
+        assert build_ebch(64, 36) is build_ebch(64, 36)
+
+    def test_arrays_are_read_only(self, code6436):
+        for array in (code6436.generator, *code6436.reduced):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] ^= 1
+
+    def test_fields_cannot_be_reassigned(self, code6436):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code6436.generator = code6436.generator.copy()
 
 
 class TestEncode:

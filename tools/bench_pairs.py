@@ -11,7 +11,10 @@ falls on both sides alike.  The record holds, per workload and gated
 end-to-end metric, each side's median and quartiles and the number of
 pairs the change won.
 
-It also times, on both sides, the Tier-1 suite and the slow acceptance
+It also times fresh ``python -m osdlat`` processes of the commands in
+``CLI_COMMANDS`` on both sides, sides alternating, ``CLI_SAMPLES`` each:
+start-up and imports count there, as they do at the command line.  And it
+times, on both sides, the Tier-1 suite and the slow acceptance
 gates (``pytest -m slow``), and on the change the gates' three simulated
 sweeps with 1 and with 2 pool workers, next to ``mc_sweep_parallel``
 against ``mc_sweep``: the data that decides whether the process pool pays.
@@ -44,6 +47,13 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # Ten pairs per workload, on seeds kept apart from the seeds 1-4 used in
 # tuning; each run lasts BENCHMARK.json's run_seconds.
 SEEDS = tuple(range(11, 21))
+# Timed as fresh processes: a command that imports no scipy, and a fixed simulate --eps sweep.
+CLI_COMMANDS = {
+    "complexity": ("complexity", "--n", "128", "--k", "64"),
+    "simulate_eps": ("simulate", "--code", "64x36", "--order", "1", "--eps", "1e-2",
+                     "--grid-db", "0.5", "--max-trials", "512", "--seed", "1"),
+}
+CLI_SAMPLES = 5
 GATE_SNIPPET = """
 import json, sys, time
 sys.path[:0] = ["src", "tests"]
@@ -108,6 +118,22 @@ def timed(side: Path, argv: list[str]) -> dict:
     seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"seconds": seconds, "returncode": proc.returncode, "last_line": lines[-1] if lines else ""}
+
+
+def cli_runs(sides: dict) -> dict:
+    """Per CLI_COMMANDS entry, each side's wall seconds of fresh processes and their median."""
+    record = {}
+    for name, argv in CLI_COMMANDS.items():
+        seconds = {side: [] for side in sides}
+        for i in range(CLI_SAMPLES):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                run = timed(sides[side], [sys.executable, "-m", "osdlat", *argv])
+                if run["returncode"] != 0:
+                    raise RuntimeError(f"osdlat {' '.join(argv)} in {sides[side]} exited {run['returncode']}")
+                seconds[side].append(run["seconds"])
+        record[name] = {"argv": list(argv),
+                        **{side: {"median_s": statistics.median(v), "samples_s": v} for side, v in seconds.items()}}
+    return record
 
 
 def suites(side: Path) -> dict:
@@ -204,6 +230,7 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             record["workloads"][workload] = {"metrics": compare(pairs), "pairs": pairs}
 
+        record["cli"] = cli_runs(sides)
         record["suites"] = {name: suites(side) for name, side in sides.items()}
         record["pool"] = {
             "norm_wall_s_median": {

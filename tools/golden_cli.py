@@ -217,23 +217,33 @@ def run_one(main, argv: list[str]) -> tuple[int, str, str]:
 
 
 def run_commands() -> list[dict]:
-    """Exit code, stdout and stderr of every command_set() entry, run in-process."""
+    """Exit code, stdout and stderr of every command_set() entry, run in-process.
+
+    OSDLAT_WORKERS is 1 while the cases run and has its old value (or none) again afterwards.
+    """
     from osdlat.cli import WORKERS_ENV, main
 
+    saved = os.environ.get(WORKERS_ENV)
     os.environ[WORKERS_ENV] = "1"  # the simulate sidecar echoes the worker count
     results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, text in INPUT_FILES.items():
-            Path(tmp, name).write_text(text, encoding="utf-8")
-        for case in command_set():
-            argv = [part.replace("{tmp}", tmp) for part in case.argv]
-            rc, out, err = run_one(main, argv)
-            results.append({
-                "argv": list(case.argv),
-                "rc": rc,
-                "stdout": out.replace(tmp, "{tmp}"),
-                "stderr": err.replace(tmp, "{tmp}"),
-            })
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in INPUT_FILES.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            for case in command_set():
+                argv = [part.replace("{tmp}", tmp) for part in case.argv]
+                rc, out, err = run_one(main, argv)
+                results.append({
+                    "argv": list(case.argv),
+                    "rc": rc,
+                    "stdout": out.replace(tmp, "{tmp}"),
+                    "stderr": err.replace(tmp, "{tmp}"),
+                })
+    finally:
+        if saved is None:
+            os.environ.pop(WORKERS_ENV, None)
+        else:
+            os.environ[WORKERS_ENV] = saved
     return results
 
 

@@ -10,6 +10,7 @@ use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +20,15 @@ import numpy as np
 LOG2E = math.log2(math.e)
 # Gauss-Hermite nodes for the capacity and dispersion integrals.
 QUADRATURE_NODES = 128
+# required_snr's search: its start, its 20 dB steps and its two limits, in dB
+_START_DB = (-60.0, 40.0)
+_STEP_DB = 20.0
+_FLOOR_DB, _CEILING_DB = -400.0, 400.0
+# Bisection steps before regula falsi: 100 dB down to about 0.1 dB
+_SHARED_STEPS = 10
+# Generous multiple of the unit roundoff in the bound on _rate's rounding
+# error (README, "How required_snr replays its bisection").
+_NOISE_ULPS = 2 * QUADRATURE_NODES * 2.0**-53
 
 
 class InfeasibleError(ValueError):
@@ -47,7 +57,11 @@ class Snr:
 
     @property
     def linear(self) -> float:
-        return 10.0 ** (self.db / 10.0)
+        return _linear(self.db)
+
+
+def _linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
 
 
 def validate_epsilon(epsilon: float) -> float:
@@ -135,9 +149,24 @@ def _rate(n: int, backoff: float, snr: Snr, nodes: int = QUADRATURE_NODES) -> fl
     """normal_approx_rate with the backoff Qinv(eps) already computed."""
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    c_nats, v = _info_density_stats(snr.linear, nodes)
-    rate = (c_nats - math.sqrt(v / n) * backoff) * LOG2E
-    return max(rate, 0.0)
+    return max(_unclamped_rate(n, backoff, *_info_density_stats(snr.linear, nodes)), 0.0)
+
+
+def _unclamped_rate(n: int, backoff: float, c_nats: float, v: float) -> float:
+    return (c_nats - math.sqrt(v / n) * backoff) * LOG2E
+
+
+def _noise_bound(n: int, backoff: float, c_nats: float, v: float) -> float:
+    """Bound in bits on how far _unclamped_rate(n, backoff, c_nats, v) lies
+    from the rate that exact arithmetic gives at the same SNR (README)."""
+    mean_g = math.log(2.0) - c_nats
+    err_v = _NOISE_ULPS * (2.0 * v + 4.0 * mean_g * mean_g + 4.0 * mean_g)
+    if v <= 2.0 * err_v:
+        err_sqrt_v = math.sqrt(err_v)
+    else:
+        err_sqrt_v = err_v / math.sqrt(v - err_v)
+    err_sqrt_v += _NOISE_ULPS * math.sqrt(v)
+    return LOG2E * (_NOISE_ULPS * (1.0 + mean_g) + abs(backoff) / math.sqrt(n) * err_sqrt_v)
 
 
 def normal_approx_rate(
@@ -161,24 +190,108 @@ def required_snr(
 ) -> Snr:
     """Smallest SNR whose normal-approximation rate reaches the target.
 
-    Monotone bisection in dB; raises InfeasibleError for rate >= 1, which
-    no finite SNR can reach.
+    Returns the float of an 80-step bisection in dB, which starts from
+    [-60, 40] dB and moves either end out in 20 dB steps until it brackets
+    the target.  Raises InfeasibleError for rate >= 1, which no finite SNR
+    can reach, and when no SNR up to 400 dB reaches the rate; raises
+    ValueError when even -400 dB reaches it.
+
+    The bisection is replayed, not run: regula falsi first finds ends
+    below < root < above whose rates clear the target by more than the
+    bound on _rate's rounding error, and only the bisection's midpoints
+    strictly between them are evaluated.  README gives the argument that
+    every other midpoint keeps its decision.
     """
     rate = validate_rate(rate)
     epsilon = validate_epsilon(epsilon)
     if rate >= 1.0:
         raise InfeasibleError("rate 1 is unreachable at finite SNR")
     backoff = q_inv(epsilon)
-    lo, hi = -60.0, 40.0
-    while _rate(n, backoff, Snr(hi)) < rate:
-        hi += 20.0
-        if hi > 400.0:
-            raise InfeasibleError(f"no SNR below 400 dB reaches rate {rate}")
+    if n < 1:
+        raise ValueError(f"blocklength must be >= 1, got {n}")
+
+    # Decisions compare the rate before its clamp at 0 with the target,
+    # which is the same comparison: the target is positive.
+    def evaluate(db: float) -> tuple[float, tuple[float, float]]:
+        """(rate, (capacity, dispersion) in nats) at db."""
+        stats = _info_density_stats(_linear(db), QUADRATURE_NODES)
+        return _unclamped_rate(n, backoff, *stats), stats
+
+    lo, hi = _START_DB
+    while (y_hi := evaluate(hi)[0]) < rate:
+        hi += _STEP_DB
+        if hi > _CEILING_DB:
+            raise InfeasibleError(f"no SNR below {_CEILING_DB:g} dB reaches rate {rate}")
+    while True:
+        y_lo, lo_stats = evaluate(lo)
+        if y_lo < rate:
+            break
+        lo -= _STEP_DB
+        if lo < _FLOOR_DB:
+            raise ValueError(f"rate {rate} is reached at every SNR down to {_FLOOR_DB:g} dB")
+
+    # Every bisection midpoint m <= below has a rate below the target, and
+    # every midpoint m >= above has a rate at or above it.  A point becomes
+    # an end only when its rate clears the target by four noise bounds.
+    below, tau_below, above = lo, _noise_bound(n, backoff, *lo_stats), hi
+
+    def certify(db: float, y: float, tau: float) -> bool:
+        nonlocal below, tau_below, above
+        if y < rate:
+            if y + 4.0 * tau_below < rate:
+                below, tau_below = db, tau
+                return True
+        elif min(y, y_hi) - 4.0 * tau >= rate:
+            above = db
+            return True
+        return False
+
+    # The first steps bisect (lo, hi): they are the bisection's own first
+    # midpoints, which the calls of a sweep share through the cache.  Then
+    # Illinois regula falsi in dB on rate - target, with a bisection step
+    # whenever the last two steps did not halve the bracket, until a point
+    # lands in the noise band around the root.
+    a, ya, b, yb = lo, y_lo - rate, hi, y_hi - rate
+    x, tau, side, widths = lo, tau_below, 0, (math.inf, math.inf)
+    for step in itertools.count():
+        if step < _SHARED_STEPS or b - a > 0.5 * widths[0]:
+            x = 0.5 * (a + b)
+        else:
+            x = (a * yb - b * ya) / (yb - ya)
+        widths = (widths[1], b - a)
+        if not a < x < b:
+            break
+        y, stats = evaluate(x)
+        tau = _noise_bound(n, backoff, *stats)
+        in_band = not certify(x, y, tau)
+        if y < rate:
+            a, ya = x, y - rate
+            yb = yb * 0.5 if side < 0 else yb
+            side = -1
+        else:
+            b, yb = x, y - rate
+            ya = ya * 0.5 if side > 0 else ya
+            side = 1
+        if in_band:
+            break
+    # From there, step out on each side, just past the band and then four
+    # times as far each time, until that side has an end.
+    first = max(5.0 * tau * (b - a) / (yb - ya), 4.0 * math.ulp(x))
+    for direction in (-1.0, 1.0):
+        step = first
+        while below < x + direction * step < above:
+            p = x + direction * step
+            y, stats = evaluate(p)
+            if certify(p, y, _noise_bound(n, backoff, *stats)) and (y < rate) == (direction < 0):
+                break
+            step *= 4.0
+
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _rate(n, backoff, Snr(mid)) >= rate:
-            hi = mid
-        else:
+        if mid == lo or mid == hi:
+            break  # every later step is the same no-op: rate(hi) >= target > rate(lo)
+        if mid <= below or (mid < above and evaluate(mid)[0] < rate):
             lo = mid
+        else:
+            hi = mid
     return Snr(hi)
-

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from osdlat.fblmath import (
     Snr,
-    normal_approx_rate,
+    _rate,
+    q_inv,
     required_snr,
     validate_epsilon,
 )
@@ -161,7 +162,8 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
+def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig, backoff: float) -> bool:
+    """Whether k bits fit at blocklength n; backoff is q_inv(cfg.epsilon)."""
     rate = k / n
     if rate >= 1.0:
         return False
@@ -173,7 +175,7 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig) -> bool:
         # -inf or past either end of the linear scale: below it no rate
         # fits, above it every rate below 1 does
         return snr_left > 0
-    return normal_approx_rate(n, cfg.epsilon, snr) >= rate
+    return _rate(n, backoff, snr) >= rate
 
 
 def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
@@ -186,15 +188,16 @@ def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
     """
     if cfg.power_cap_db is None or math.isinf(cfg.power_cap_db):
         raise ValueError("maximize_k needs a finite power_cap_db")
+    backoff = q_inv(cfg.epsilon)
     sweep = []
     for n in ns:
-        if _decode_window(n, cfg) < 0 or not _max_k_feasible(n, 1, cfg):
+        if _decode_window(n, cfg) < 0 or not _max_k_feasible(n, 1, cfg, backoff):
             sweep.append(SweepPoint(n=n, feasible=False))
             continue
         lo, hi = 1, n
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _max_k_feasible(n, mid, cfg):
+            if _max_k_feasible(n, mid, cfg, backoff):
                 lo = mid
             else:
                 hi = mid - 1

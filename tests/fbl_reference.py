@@ -1,0 +1,41 @@
+"""Reference implementation ``fblmath.required_snr`` is checked against.
+
+``required_snr`` is the plain 80-step bisection in dB that the package
+replays: it evaluates the rate at every midpoint.  It is kept as an
+oracle only.
+"""
+
+from __future__ import annotations
+
+from osdlat.fblmath import InfeasibleError, Snr, _rate, q_inv, validate_epsilon, validate_rate
+
+
+def required_snr(n: int, epsilon: float, rate: float, start=(-60.0, 40.0)) -> Snr:
+    """Smallest SNR in dB whose normal-approximation rate reaches the target.
+
+    The bracket starts at ``start``, [-60, 40] dB.  hi moves up in 20 dB steps while
+    its rate falls short (InfeasibleError past 400 dB), then lo moves down
+    in 20 dB steps while its rate already reaches the target (ValueError
+    past -400 dB), and 80 halvings follow.
+    """
+    rate = validate_rate(rate)
+    epsilon = validate_epsilon(epsilon)
+    if rate >= 1.0:
+        raise InfeasibleError("rate 1 is unreachable at finite SNR")
+    backoff = q_inv(epsilon)
+    lo, hi = start
+    while _rate(n, backoff, Snr(hi)) < rate:
+        hi += 20.0
+        if hi > 400.0:
+            raise InfeasibleError(f"no SNR below 400 dB reaches rate {rate}")
+    while _rate(n, backoff, Snr(lo)) >= rate:
+        lo -= 20.0
+        if lo < -400.0:
+            raise ValueError(f"rate {rate} is reached at every SNR down to -400 dB")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _rate(n, backoff, Snr(mid)) >= rate:
+            hi = mid
+        else:
+            lo = mid
+    return Snr(hi)

@@ -1,11 +1,14 @@
 import math
+import statistics
 
+import fbl_reference
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from osdlat import fblmath
 from osdlat.fblmath import (
     QUADRATURE_NODES,
     InfeasibleError,
@@ -209,6 +212,92 @@ class TestRequiredSnr:
             required_snr(128, 1e-3, 0.0)
         with pytest.raises(ValueError):
             required_snr(128, 2.0, 0.5)
+        with pytest.raises(ValueError, match="blocklength"):
+            required_snr(0, 1e-3, 0.5)
+
+    def test_lower_end_steps_down(self):
+        # eps > 1/2 makes the backoff negative, so -60 dB already reaches
+        # this rate; the search steps its lower end down to -80 dB
+        assert fblmath._rate(400000, q_inv(0.99), Snr(-60.0)) >= 2.5e-6
+        assert required_snr(400000, 0.99, 2.5e-6).db == -67.04691183498247
+
+    def test_rate_reached_down_to_the_floor(self):
+        with pytest.raises(ValueError, match="every SNR down to -400 dB"):
+            required_snr(1, 0.9, 1e-12)
+
+
+def _outcome(search, *args):
+    """The SNR in dB a search returns, or the type and text of what it raises."""
+    try:
+        return search(*args).db
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rates():
+    near_zero = st.floats(-12.0, -1.0).map(lambda e: 10.0**e)
+    near_one = st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)
+    return st.one_of(near_zero, near_one, st.floats(0.01, 0.99))
+
+
+class TestRequiredSnrReplay:
+    """required_snr returns the float of the plain bisection in fbl_reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 128), st.integers(1, 10**6)),
+        epsilon=st.floats(-12.0, math.log10(0.99)).map(lambda e: 10.0**e),
+        rate=_rates(),
+    )
+    @example(n=500, epsilon=1e-3, rate=0.5)
+    @example(n=400000, epsilon=0.99, rate=2.5e-6)
+    @example(n=1, epsilon=0.99, rate=1e-6)
+    @example(n=10**6, epsilon=1e-12, rate=1e-12)
+    @example(n=3, epsilon=0.5, rate=0.9999999)
+    def test_matches_bisection(self, n, epsilon, rate):
+        assert _outcome(required_snr, n, epsilon, rate) == _outcome(
+            fbl_reference.required_snr, n, epsilon, rate
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        epsilon=st.floats(-12.0, math.log10(0.99)).map(lambda e: 10.0**e),
+        rate=st.floats(0.05, 0.999),
+        start=st.sampled_from([(-60.0, -20.0), (-100.0, -80.0), (-60.0, 0.0)]),
+    )
+    def test_matches_bisection_when_hi_grows(self, n, epsilon, rate, start):
+        # _rate(40 dB) is 1.0 for every n and eps, so hi only grows from a lower start
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fblmath, "_START_DB", start)
+            replayed = _outcome(required_snr, n, epsilon, rate)
+        assert replayed == _outcome(fbl_reference.required_snr, n, epsilon, rate, start)
+
+    def test_every_k_over_n_of_small_blocklengths(self):
+        for epsilon in (1e-1, 1e-3, 1e-9):
+            for n in range(2, 65):
+                for k in range(1, n):
+                    assert required_snr(n, epsilon, k / n).db == (
+                        fbl_reference.required_snr(n, epsilon, k / n).db
+                    ), (n, k, epsilon)
+
+    def test_cold_cache_evaluations_per_call(self):
+        """Far fewer quadratures than the bisection, which evaluates 56-60 points."""
+        stats = fblmath._info_density_stats
+        cases = [(n, eps, k / n) for eps in (1e-1, 1e-3, 1e-9)
+                 for n in (2, 17, 64, 128, 500, 1000) for k in range(1, n, max(1, n // 7))]
+
+        def misses(search, case):
+            stats.cache_clear()
+            search(*case)
+            return stats.cache_info().misses
+
+        replay = [misses(required_snr, case) for case in cases]
+        bisection = [misses(fbl_reference.required_snr, case) for case in cases]
+        assert statistics.median(bisection) >= 59
+        # a call that fell back to the whole bisection would reach its count
+        assert max(replay) < min(bisection)
+        assert statistics.median(replay) <= 36
 
 
 def test_default_config_drops_o1n_term():
@@ -218,3 +307,47 @@ def test_default_config_drops_o1n_term():
         biawgn_capacity(snr) - backoff, abs=1e-12
     )
     assert QUADRATURE_NODES >= 64
+
+
+class TestNoiseBound:
+    """What the replay in required_snr rests on (README, "How required_snr
+    replays its bisection")."""
+
+    def test_bound_covers_the_rounding_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        x, w = fblmath._hermgauss(QUADRATURE_NODES)
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exact = mp.mpf
+        ln2, sqrt2, norm = exact(math.log(2.0)), exact(math.sqrt(2.0)), exact(1.0 / math.sqrt(math.pi))
+        for db in (-100.0, -60.0, -20.0, -3.0, 0.0, 2.77, 8.0, 15.0):
+            rho = exact(fblmath._linear(db))
+            # the same float constants, nodes, weights and rho, in exact arithmetic
+            g = [mp.log(1 + mp.exp(-2 * rho - 2 * mp.sqrt(rho) * sqrt2 * exact(xi))) for xi in x]
+            mean_g = norm * mp.fsum(exact(wi) * gi for wi, gi in zip(w, g))
+            mean_g2 = norm * mp.fsum(exact(wi) * gi * gi for wi, gi in zip(w, g))
+            c_nats, v = max(ln2 - mean_g, 0), max(mean_g2 - mean_g**2, 0)
+            stats = fblmath._info_density_stats(fblmath._linear(db), QUADRATURE_NODES)
+            for n, epsilon in ((1, 1e-12), (128, 1e-3), (10**6, 1e-3), (1, 0.99)):
+                backoff = q_inv(epsilon)
+                want = (c_nats - mp.sqrt(v / n) * exact(backoff)) * exact(fblmath.LOG2E)
+                got = fblmath._unclamped_rate(n, backoff, *stats)
+                assert abs(got - want) <= fblmath._noise_bound(n, backoff, *stats), (db, n, epsilon)
+
+    @pytest.mark.parametrize(
+        "n, epsilon", [(1, 1e-12), (128, 1e-3), (10**6, 1e-3), (2, 0.6), (1, 0.99), (10**6, 0.99)]
+    )
+    def test_shape_on_a_grid(self, n, epsilon):
+        backoff = q_inv(epsilon)
+        grid = np.arange(-400.0, 400.0, 0.05)
+        stats = [fblmath._info_density_stats(fblmath._linear(db), QUADRATURE_NODES) for db in grid]
+        tau = np.array([fblmath._noise_bound(n, backoff, *s) for s in stats])
+        rate = np.array([max(fblmath._unclamped_rate(n, backoff, *s), 0.0) for s in stats])
+        # the bound at an SNR covers every SNR above it, with a factor 2 to spare
+        assert np.all(np.maximum.accumulate(tau[::-1])[::-1] <= 2.0 * tau)
+        # the rate rises to its peak and then (eps > 1/2 only) falls, up to the noise
+        peak = int(np.argmax(rate))
+        steps, slack = np.diff(rate), tau[1:] + tau[:-1]
+        assert np.all(steps[:peak] >= -slack[:peak])
+        assert np.all(steps[peak:] <= slack[peak:])
+        assert (rate[peak] > rate[-1]) == (epsilon > 0.5)

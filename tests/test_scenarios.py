@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osdlat.fblmath import Snr, normal_approx_rate, required_snr
+from osdlat.fblmath import Snr, normal_approx_rate, q_inv, required_snr
 from osdlat.oscomplexity import LatencyBudget
 from osdlat.scenarios import (
     CSV_COLUMNS,
@@ -102,7 +102,7 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = [_max_k_feasible(n, k, cfg) for k in range(1, n)]
+            flags = [_max_k_feasible(n, k, cfg, q_inv(cfg.epsilon)) for k in range(1, n)]
             assert all(a or not b for a, b in zip(flags, flags[1:]))
 
     def test_optimum_satisfies_constraints_independently(self):

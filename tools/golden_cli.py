@@ -150,6 +150,10 @@ def command_set() -> list[Case]:
         add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--tb", tb)
     for pm in ("3", "5", "10", "inf"):
         add(*scn, "min-latency", "--k", "64", "--pm-db", pm)
+    # a rate that -60 dB already reaches (eps > 1/2 makes the backoff negative):
+    # required_snr steps its lower end down instead of returning -60 dB
+    add(*scn, "min-latency", "--k", "1", "--pm-db", "5", "--eps", "0.99", "--tb", "1e-9",
+        "--n-range", "400000:400000", err='"required_snr_db": -67.04691183498247')
     add(*scn, "max-rate", "--n", "128", "--dm", "1e9")
     add(*scn, "max-rate", "--n", "64", "--dm", "1e-3", "--rate-step", "0.01", "--pm-db", "inf")
     add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--extrapolation", "clamp")

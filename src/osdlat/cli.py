@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from osdlat import codecsim, ioutil, scenarios, tradeoff
+from osdlat import codecsim, scenarios, tradeoff
 from osdlat.fblmath import (
     QUADRATURE_NODES,
     Snr,
@@ -123,15 +123,38 @@ def _law_params(args) -> tradeoff.TradeoffParams | None:
     return None
 
 
+def _fmt(value) -> str:
+    """A CSV cell: None is empty, booleans are true/false, floats have 12 significant figures."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _csv_text(header, rows) -> str:
+    """CSV document with LF line endings and '.' decimal separator."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(args, csv_text: str, sidecar: dict | None) -> None:
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
         if sidecar is not None:
-            Path(args.out + ".json").write_text(ioutil.json_text(sidecar), encoding="utf-8")
+            Path(args.out + ".json").write_text(_json_text(sidecar), encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
         if sidecar is not None:
-            sys.stderr.write(ioutil.json_text(sidecar))
+            sys.stderr.write(_json_text(sidecar))
 
 
 def cmd_rate(args) -> int:
@@ -146,7 +169,7 @@ def cmd_rate(args) -> int:
                 normal_approx_rate(args.n, args.eps, snr, args.nodes),
             )
         )
-    _emit(args, ioutil.csv_text(("snr_db", "capacity", "dispersion", "rate"), rows), None)
+    _emit(args, _csv_text(("snr_db", "capacity", "dispersion", "rate"), rows), None)
     return 0
 
 
@@ -178,7 +201,7 @@ def cmd_complexity(args) -> int:
             "s_star": s_star,
         }
     header = ("s", "c_exact", "c_bound", "dominant_term", "total_latency_s", "meets_deadline")
-    _emit(args, ioutil.csv_text(header, rows), sidecar)
+    _emit(args, _csv_text(header, rows), sidecar)
     return 0
 
 
@@ -190,14 +213,14 @@ def cmd_tradeoff(args) -> int:
             points.append(tradeoff.PenaltyPoint(delta_rho_db=drho, c=c))
         result = tradeoff.fit_params(points, n_anchor=args.n_anchor)
         doc = {**dataclasses.asdict(result.params), "rms_residual": result.rms_residual}
-        _emit(args, ioutil.json_text(doc), None)
+        _emit(args, _json_text(doc), None)
         return 0
     params = _law_params(args) or tradeoff.params_for_blocklength(args.n, args.extrapolation)
     rows = []
     for drho in _parse_range(args.delta_rho_range):
         c = tradeoff.penalty_to_complexity(drho, params)
         rows.append((drho, math.log2(c), c))
-    _emit(args, ioutil.csv_text(("delta_rho_db", "log2_c", "c"), rows), None)
+    _emit(args, _csv_text(("delta_rho_db", "log2_c", "c"), rows), None)
     return 0
 
 
@@ -241,8 +264,8 @@ def cmd_simulate(args) -> int:
                 "reached": thr.reached,
             }
         )
-    rows = codecsim.sweep_csv_rows(sweep)
-    _emit(args, ioutil.csv_text(codecsim.SWEEP_CSV_COLUMNS, rows), sidecar)
+    rows = [(e.snr_db, e.order, e.trials, e.errors, e.bler, e.ci95_halfwidth) for e in sweep]
+    _emit(args, _csv_text(("snr_db", "s", "trials", "errors", "bler", "ci95"), rows), sidecar)
     return 0
 
 
@@ -290,10 +313,12 @@ def cmd_scenario(args) -> int:
         result = scenarios.minimize_latency(cfg, args.k, ns)
     if args.which != "max-rate":
         echo["n_range"] = [ns[0], ns[-1]]
+    columns = [field.name for field in dataclasses.fields(scenarios.SweepPoint)]
+    optimum = None if result.optimum is None else vars(result.optimum)
     _emit(
         args,
-        ioutil.csv_text(scenarios.CSV_COLUMNS, scenarios.csv_rows(result)),
-        scenarios.summary_doc(result, echo),
+        _csv_text(columns, (vars(point).values() for point in result.sweep)),
+        {"scenario": result.scenario, "config": echo, "optimum": optimum},
     )
     return 0
 
@@ -335,7 +360,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trd = subs.add_parser("tradeoff", help="complexity/penalty law evaluation or fit")
     trd.add_argument("--n", type=float, default=128)
     trd.add_argument("--delta-rho-range", default="0:10:0.5", help="start:stop:step in dB")
-    trd.add_argument("--extrapolation", choices=("power", "clamp"), default="power")
+    trd.add_argument("--extrapolation", choices=tradeoff.EXTRAPOLATIONS, default="power")
     trd.add_argument("--params-file", type=_file_text, help="JSON law-parameter document")
     trd.add_argument("--fit", type=_file_text, help="CSV of delta_rho_db,c points to fit")
     trd.add_argument("--n-anchor", type=int, default=128, help="blocklength tag for --fit")
@@ -368,7 +393,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     scn.add_argument("--n-range", help="lo:hi blocklength sweep bounds")
     scn.add_argument("--n-step", type=int, default=1)
     scn.add_argument("--rate-step", type=float, default=0.05)
-    scn.add_argument("--extrapolation", choices=("power", "clamp"), default="power")
+    scn.add_argument("--extrapolation", choices=tradeoff.EXTRAPOLATIONS, default="power")
     scn.add_argument(
         "--params-file", type=_file_text, help="JSON law-parameter document applied to all n"
     )

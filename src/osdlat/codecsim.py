@@ -26,7 +26,6 @@ import numpy as np
 from osdlat import _gf2
 from osdlat.fblmath import Snr, required_snr, validate_epsilon
 
-SWEEP_CSV_COLUMNS = ("snr_db", "s", "trials", "errors", "bler", "ci95")
 # Trials per batch; batch b draws its RNG from (seed, b), so this is part of the stream.
 BATCH_SIZE = 512
 # A sweep point is accepted when bler + ci95 <= CI_SLACK * epsilon.
@@ -236,7 +235,6 @@ class OsdStats:
             setattr(self, name, getattr(self, name) + value)
 
 
-_PATTERN_CACHE: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
 # Words scored together, and candidates scored at once.  On 512 words
 # (tracemalloc), one slice's search peaks at 1.5 MB at eBCH(128,64) s = 2,
 # mostly byte tables; scoring all 512 at once would take the decode from
@@ -245,6 +243,7 @@ _CHUNK_WORDS = 64
 _SCORE_CANDIDATES = 8192
 
 
+@functools.cache
 def _pattern_positions(k: int, order: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """(flip positions of each error pattern of weight <= order, one row each, starts).
 
@@ -253,16 +252,13 @@ def _pattern_positions(k: int, order: int) -> tuple[np.ndarray, tuple[int, ...]]
     tie-breaking order.  Rows have max(order, 1) entries; a pattern of
     lower weight is padded with position k, which names an all-zero row.
     """
-    key = (k, order)
-    if key not in _PATTERN_CACHE:
-        width = max(order, 1)
-        starts = itertools.accumulate((math.comb(k, w) for w in range(order + 1)), initial=0)
-        _PATTERN_CACHE[key] = np.array([
-            flips + (k,) * (width - w)
-            for w in range(order + 1)
-            for flips in itertools.combinations(range(k), w)
-        ], dtype=np.intp), tuple(starts)
-    return _PATTERN_CACHE[key]
+    width = max(order, 1)
+    starts = itertools.accumulate((math.comb(k, w) for w in range(order + 1)), initial=0)
+    return np.array([
+        flips + (k,) * (width - w)
+        for w in range(order + 1)
+        for flips in itertools.combinations(range(k), w)
+    ], dtype=np.intp), tuple(starts)
 
 
 def _flip_costs(costs, flips):
@@ -579,7 +575,6 @@ def required_snr_sim(
     max_trials: int = 10**6,
     seed: int = 0,
     start_db: float | None = None,
-    span_db: float = SWEEP_SPAN_DB,
     workers: int = 1,
     stats: OsdStats | None = None,
 ) -> SimulatedThreshold:
@@ -588,8 +583,8 @@ def required_snr_sim(
     A grid point is accepted when its estimate is at or below epsilon and
     the 95% upper confidence end does not exceed CI_SLACK * epsilon.  The
     sweep starts 1 dB below the normal-approximation SNR unless start_db
-    is given, and gives up (reached=False) after span_db.  With workers > 1
-    one process pool serves every grid point.
+    is given, and gives up (reached=False) after SWEEP_SPAN_DB.  With
+    workers > 1 one process pool serves every grid point.
     """
     epsilon = validate_epsilon(epsilon)
     if grid_db <= 0:
@@ -597,7 +592,7 @@ def required_snr_sim(
     if start_db is None:
         start_db = required_snr(code.n, epsilon, code.k / code.n).db - 1.0
     sweep: list[BlerEstimate] = []
-    points = int(math.floor(span_db / grid_db)) + 1
+    points = int(math.floor(SWEEP_SPAN_DB / grid_db)) + 1
     with _process_pool(workers) as pool:
         for j in range(points):
             snr_db = start_db + j * grid_db
@@ -609,10 +604,3 @@ def required_snr_sim(
                 return SimulatedThreshold(snr_db=snr_db, reached=True, sweep=sweep)
     return SimulatedThreshold(snr_db=math.nan, reached=False, sweep=sweep)
 
-
-def sweep_csv_rows(sweep: list[BlerEstimate]) -> list[tuple]:
-    """Rows under SWEEP_CSV_COLUMNS, one per estimate."""
-    return [
-        (est.snr_db, est.order, est.trials, est.errors, est.bler, est.ci95_halfwidth)
-        for est in sweep
-    ]

@@ -20,10 +20,10 @@ import numpy as np
 LOG2E = math.log2(math.e)
 # Gauss-Hermite nodes for the capacity and dispersion integrals.
 QUADRATURE_NODES = 128
-# required_snr's search: its start, its 20 dB steps and its two limits, in dB
+# required_snr's search: its start, the 20 dB steps of its lower end and their limit, in dB
 _START_DB = (-60.0, 40.0)
 _STEP_DB = 20.0
-_FLOOR_DB, _CEILING_DB = -400.0, 400.0
+_FLOOR_DB = -400.0
 # Bisection steps before regula falsi: 100 dB down to about 0.1 dB
 _SHARED_STEPS = 10
 # Generous multiple of the unit roundoff in the bound on _rate's rounding
@@ -80,22 +80,9 @@ def validate_rate(rate: float) -> float:
     return rate
 
 
-def q_func(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(Z > x) for standard normal Z."""
-    from scipy import special  # imported on first use: commands that never call it skip its ~0.3 s
-
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"q_func argument must be finite, got {x}")
-    p = float(special.ndtr(-x))
-    # keep the result strictly inside (0, 1) even in the far tails
-    tiny = 5e-324
-    return min(max(p, tiny), 1.0 - 2.0**-53)
-
-
 def q_inv(p: float) -> float:
-    """Inverse of q_func: the x with Q(x) = p."""
-    from scipy import special
+    """The x with Q(x) = P(Z > x) = p for standard normal Z."""
+    from scipy import special  # imported on first use: commands that never call it skip its ~0.3 s
 
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -191,10 +178,10 @@ def required_snr(
     """Smallest SNR whose normal-approximation rate reaches the target.
 
     Returns the float of an 80-step bisection in dB, which starts from
-    [-60, 40] dB and moves either end out in 20 dB steps until it brackets
-    the target.  Raises InfeasibleError for rate >= 1, which no finite SNR
-    can reach, and when no SNR up to 400 dB reaches the rate; raises
-    ValueError when even -400 dB reaches it.
+    [-60, 40] dB and moves its lower end down in 20 dB steps until it
+    brackets the target.  Raises InfeasibleError for rate >= 1, which no
+    finite SNR can reach, and ValueError when even -400 dB reaches the
+    rate.
 
     The bisection is replayed, not run: regula falsi first finds ends
     below < root < above whose rates clear the target by more than the
@@ -217,11 +204,10 @@ def required_snr(
         stats = _info_density_stats(_linear(db), QUADRATURE_NODES)
         return _unclamped_rate(n, backoff, *stats), stats
 
+    # The rate at the upper start is exactly 1 for every n and epsilon (V
+    # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.
     lo, hi = _START_DB
-    while (y_hi := evaluate(hi)[0]) < rate:
-        hi += _STEP_DB
-        if hi > _CEILING_DB:
-            raise InfeasibleError(f"no SNR below {_CEILING_DB:g} dB reaches rate {rate}")
+    y_hi = evaluate(hi)[0]
     while True:
         y_lo, lo_stats = evaluate(lo)
         if y_lo < rate:

@@ -32,19 +32,6 @@ from osdlat.tradeoff import (
     penalty_to_complexity,
 )
 
-CSV_COLUMNS = (
-    "n",
-    "k",
-    "rate",
-    "required_snr_db",
-    "delta_rho_db",
-    "snr_db",
-    "c",
-    "total_latency_s",
-    "feasible",
-)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Inputs every scenario sweep reads.
@@ -78,7 +65,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a scenario sweep; None marks inapplicable fields."""
+    """One row of a scenario sweep and of its CSV, column by field; None marks inapplicable fields."""
 
     n: int
     k: int | None = None
@@ -261,17 +248,3 @@ def minimize_latency(cfg: ScenarioConfig, k: int, ns: Sequence[int]) -> Scenario
     )
     return ScenarioResult("min-latency", sweep, optimum)
 
-
-def csv_rows(result: ScenarioResult) -> list[tuple]:
-    """Sweep rows as value tuples matching CSV_COLUMNS."""
-    return [tuple(getattr(pt, col) for col in CSV_COLUMNS) for pt in result.sweep]
-
-
-def summary_doc(result: ScenarioResult, config: dict) -> dict:
-    """Summary document with the optimum and the caller's configuration echo."""
-    return {
-        "scenario": result.scenario,
-        "config": config,
-        "optimum": None if result.optimum is None
-        else {col: getattr(result.optimum, col) for col in CSV_COLUMNS},
-    }

@@ -129,6 +129,8 @@ PARAMS_128 = TradeoffParams(a=0.03, b=0.03, gamma_fit=0.6, n_anchor=128)
 # extrapolation, calibrated against the reference sweep optima of the
 # scenario layer (clamping instead overshoots them several-fold).
 POWER_DECAY = 0.69
+# params_for_blocklength's modes above the n = 128 anchor, the default first.
+EXTRAPOLATIONS = ("power", "clamp")
 
 
 def penalty_to_complexity(delta_rho_db: float, p: TradeoffParams) -> float:
@@ -201,11 +203,11 @@ def params_for_blocklength(n: float, extrapolation: str = "power") -> TradeoffPa
         raise ValueError(f"blocklength must be >= 2, got {n}")
     if math.isinf(n):
         raise ValueError(f"blocklength must be finite, got {n}")
-    if extrapolation not in ("power", "clamp"):
+    if extrapolation not in EXTRAPOLATIONS:
         raise ValueError(f"unknown extrapolation mode {extrapolation!r}")
     lo, hi = PARAMS_64, PARAMS_128
     if n <= lo.n_anchor:
-        return TradeoffParams(lo.a, lo.b, lo.gamma_fit, n_anchor=lo.n_anchor)
+        return lo
     if n < hi.n_anchor:
         t = (math.log2(n) - math.log2(lo.n_anchor)) / (
             math.log2(hi.n_anchor) - math.log2(lo.n_anchor)
@@ -216,10 +218,8 @@ def params_for_blocklength(n: float, extrapolation: str = "power") -> TradeoffPa
             gamma_fit=lo.gamma_fit + t * (hi.gamma_fit - lo.gamma_fit),
             n_anchor=int(round(n)),
         )
-    if n == hi.n_anchor:
+    if n == hi.n_anchor or extrapolation == "clamp":
         return hi
-    if extrapolation == "clamp":
-        return TradeoffParams(hi.a, hi.b, hi.gamma_fit, n_anchor=hi.n_anchor)
     a = hi.a * (hi.n_anchor / n) ** POWER_DECAY
     return TradeoffParams(a=a, b=hi.b, gamma_fit=hi.gamma_fit, n_anchor=int(round(n)))
 

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import functools
+import math
 import importlib.util
 import json
 import os
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osdlat import cli
+from osdlat.scenarios import SweepPoint
 from osdlat.fblmath import required_snr
 from osdlat.tradeoff import TradeoffParams, penalty_to_complexity
 
@@ -207,6 +210,19 @@ class TestSimulateCommand:
         assert sidecar["seed"] == 3
         assert sidecar["d_min"] == 4
 
+    def test_fixed_snr_row_is_the_estimate(self):
+        proc = run_cli(
+            "simulate", "--code", "8x4", "--order", "2", "--snr-db", "5",
+            "--seed", "3", "--min-errors", "10", "--max-trials", "2000",
+        )
+        header, row = proc.stdout.splitlines()
+        assert header == "snr_db,s,trials,errors,bler,ci95"
+        snr_db, order, trials, errors, bler, ci95 = row.split(",")
+        assert (float(snr_db), int(order)) == (5.0, 2)
+        assert 0 < int(trials) <= 2000 and 0 <= int(errors) <= int(trials)
+        assert float(bler) == pytest.approx(int(errors) / int(trials), rel=1e-11)
+        assert float(ci95) >= 0.0
+
     def test_eps_mode_reports_threshold(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli(
@@ -216,6 +232,9 @@ class TestSimulateCommand:
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert sidecar["reached"]
         assert sidecar["required_snr_db"] is not None
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.count(",") == 5 for row in rows)
+        assert float(rows[-1].split(",")[0]) == pytest.approx(sidecar["required_snr_db"], rel=1e-11)
 
 
 class TestScenarioCommand:
@@ -226,8 +245,39 @@ class TestScenarioCommand:
             "--eps", "1e-3", "--tb", "0", "--n-range", "990:1000", "--out", str(out),
         )
         doc = json.loads((tmp_path / "maxk.csv.json").read_text())
+        assert doc["scenario"] == "max-k"
+        assert doc["config"]["epsilon"] == 1e-3
         assert doc["optimum"]["k"] == 803
         assert doc["optimum"]["n"] == 1000
+        # one row per blocklength, as wide as the header; the optimum is the
+        # row of its blocklength, keyed by the CSV's columns
+        header, *rows = out.read_text().splitlines()
+        assert header == "n,k,rate,required_snr_db,delta_rho_db,snr_db,c,total_latency_s,feasible"
+        assert len(rows) == 11 and all(row.count(",") == 8 for row in rows)
+        assert list(doc["optimum"]) == sorted(header.split(","))
+        assert rows[-1] == "1000,803,0.803,4.99915941395,0,4.99915941395,inf,0.001,true"
+
+    def test_csv_rows_shape(self, tmp_path):
+        # one row per rate step of max-rate at n = 64, each as wide as the header
+        out = tmp_path / "rate.csv"
+        run_cli("scenario", "--which", "max-rate", "--n", "64", "--dm", "1e-3", "--out", str(out))
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",") == [field.name for field in dataclasses.fields(SweepPoint)]
+        assert len(rows) == 19
+        assert all(row.count(",") == header.count(",") for row in rows)
+
+    def test_optimum_is_its_csv_row(self, tmp_path):
+        # the sidecar's optimum, written back as CSV cells, is the row of its blocklength;
+        # this case has empty cells (no required SNR) and an infinite SNR
+        out = tmp_path / "minlat.csv"
+        run_cli(
+            "scenario", "--which", "min-latency", "--k", "64", "--pm-db", "inf",
+            "--eps", "1e-3", "--tb", "1e-9", "--n-range", "64:70", "--out", str(out),
+        )
+        header, *rows = out.read_text().splitlines()
+        optimum = json.loads((tmp_path / "minlat.csv.json").read_text())["optimum"]
+        cells = ",".join(cli._fmt(optimum[name]) for name in header.split(","))
+        assert cells == rows[0] == "64,64,1,,,inf,1,6.4064e-05,true"
 
     def test_min_latency_infinite_power(self, tmp_path):
         out = tmp_path / "minlat.csv"
@@ -397,6 +447,26 @@ CASES = _golden_tool().command_set()
 def case_results():
     """Every golden case run once, in table order: a `--fit ... --out` case feeds the next."""
     return _golden_tool().run_commands()
+
+
+@given(st.floats(allow_nan=False))
+def test_float_cell_round_trips_to_twelve_figures(x):
+    # rounding to 12 significant figures moves x by at most half a unit in
+    # its 12th figure, 5e-12 of |x|; the slack covers the float arithmetic
+    text = cli._fmt(x)
+    assert float(text) == pytest.approx(x, rel=5.0001e-12, abs=0)
+    assert cli._fmt(float(text)) == text
+
+
+def test_csv_text_layout():
+    # empty cells for None, lower-case booleans, LF line endings with a final newline
+    text = cli._csv_text(("a", "b", "c"), [(None, True, 3), (0.1, False, math.inf)])
+    assert text == "a,b,c\n,true,3\n0.1,false,inf\n"
+
+
+def test_json_text_layout():
+    # sorted keys, two-space indent, one final newline
+    assert cli._json_text({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
 
 
 @pytest.mark.parametrize("before", [None, "2"])

@@ -26,7 +26,6 @@ from osdlat.codecsim import (
     message_from_codeword,
     osd_decode,
     required_snr_sim,
-    sweep_csv_rows,
     transmit,
 )
 from osdlat.fblmath import Snr, required_snr
@@ -332,8 +331,6 @@ class TestRequiredSnrSim:
         assert len(thr.sweep) >= 2
         assert thr.sweep[-1].snr_db == pytest.approx(thr.snr_db)
         assert thr.sweep[-1].bler <= 2e-2
-        rows = sweep_csv_rows(thr.sweep)
-        assert len(rows) == len(thr.sweep) and len(rows[0]) == 6
 
     def test_sweep_ends_at_threshold_estimate(self, code84):
         thr = required_snr_sim(code84, 2, 2e-2, min_errors=80, seed=2, start_db=2.0)
@@ -349,12 +346,11 @@ class TestRequiredSnrSim:
         assert thr1.snr_db <= thr0.snr_db + 1e-12
 
     def test_not_reached_reported(self, code84):
-        thr = required_snr_sim(
-            code84, 0, 1e-6, min_errors=20, max_trials=2000, seed=8, span_db=1.0
-        )
+        # 20 trials never accept: a point without errors still carries 3/20
+        thr = required_snr_sim(code84, 0, 1e-6, min_errors=20, max_trials=20, seed=8)
         assert not thr.reached
         assert math.isnan(thr.snr_db)
-        assert len(thr.sweep) == 5
+        assert len(thr.sweep) == int(codecsim.SWEEP_SPAN_DB / 0.25) + 1 == 61
 
 
 

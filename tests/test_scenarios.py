@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from osdlat.fblmath import Snr, normal_approx_rate, q_inv, required_snr
 from osdlat.oscomplexity import LatencyBudget
 from osdlat.scenarios import (
-    CSV_COLUMNS,
     ScenarioConfig,
     _max_k_feasible,
-    csv_rows,
     max_rate_curve,
     maximize_k,
     minimize_latency,
-    summary_doc,
 )
 from osdlat.tradeoff import complexity_to_penalty, params_for_blocklength
 
@@ -223,29 +220,12 @@ class TestConfigAndSerialization:
         result = max_rate_curve(64, cfg, rate_step=0.25)
         assert [pt.rate for pt in result.sweep] == [0.25, 0.5, 0.75]
 
-    def test_csv_rows_shape(self):
-        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
-        result = max_rate_curve(64, cfg)
-        rows = csv_rows(result)
-        assert len(rows) == len(result.sweep)
-        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
-
-    def test_summary_doc(self):
-        cfg = ScenarioConfig(
-            budget=budget(1e-3, tb=0.0), epsilon=1e-3, power_cap_db=5.0
-        )
-        doc = summary_doc(maximize_k(cfg, range(990, 1001)), {"epsilon": 1e-3})
-        assert doc["scenario"] == "max-k"
-        assert doc["optimum"]["k"] == 803
-        assert doc["config"]["epsilon"] == 1e-3
-
     def test_empty_optimum(self):
         cfg = ScenarioConfig(
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=-30.0
         )
         result = maximize_k(cfg, range(2, 51))
         assert result.optimum is None
-        assert summary_doc(result, {})["optimum"] is None
 
 
 class TestSweepIsPerBlocklength:

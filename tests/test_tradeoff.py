@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from osdlat.fblmath import required_snr
-from osdlat.ioutil import json_text
+from osdlat.cli import _json_text
 from osdlat.tradeoff import (
     CALIBRATION_64,
     PARAMS_64,
+    EXTRAPOLATIONS,
     PARAMS_128,
     PenaltyPoint,
     TradeoffParams,
@@ -180,8 +181,7 @@ class TestParamsForBlocklength:
         )
 
     def test_clamped_below(self):
-        p = params_for_blocklength(16)
-        assert (p.a, p.b, p.gamma_fit) == (PARAMS_64.a, PARAMS_64.b, PARAMS_64.gamma_fit)
+        assert params_for_blocklength(16) is PARAMS_64
 
     def test_power_extrapolation_above(self):
         p = params_for_blocklength(256)
@@ -192,8 +192,7 @@ class TestParamsForBlocklength:
         assert params_for_blocklength(128.0001).a == pytest.approx(PARAMS_128.a, rel=1e-5)
 
     def test_clamp_mode_above(self):
-        p = params_for_blocklength(512, extrapolation="clamp")
-        assert (p.a, p.b, p.gamma_fit) == (PARAMS_128.a, PARAMS_128.b, PARAMS_128.gamma_fit)
+        assert params_for_blocklength(512, extrapolation="clamp") is PARAMS_128
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -201,7 +200,7 @@ class TestParamsForBlocklength:
         with pytest.raises(ValueError):
             params_for_blocklength(128, extrapolation="spline")
 
-    @pytest.mark.parametrize("extrapolation", ["power", "clamp"])
+    @pytest.mark.parametrize("extrapolation", EXTRAPOLATIONS)
     def test_infinite_blocklength_rejected(self, extrapolation):
         with pytest.raises(ValueError, match="finite"):
             params_for_blocklength(math.inf, extrapolation)
@@ -210,7 +209,7 @@ class TestParamsForBlocklength:
 class TestSerialization:
     def test_round_trip(self):
         # written the way `tradeoff --fit` writes its document
-        doc = json_text(dataclasses.asdict(PARAMS_64))
+        doc = _json_text(dataclasses.asdict(PARAMS_64))
         back = params_from_json(doc)
         assert back == PARAMS_64
 
@@ -219,7 +218,7 @@ class TestSerialization:
             params_from_json('{"n_anchor": 64, "a": 0.05, "b": 0.03, "gamma_fit": 0.4, "x": 1}')
 
     def test_fit_document_accepted(self):
-        doc = json_text({**dataclasses.asdict(PARAMS_64), "rms_residual": 0.01})
+        doc = _json_text({**dataclasses.asdict(PARAMS_64), "rms_residual": 0.01})
         assert params_from_json(doc) == PARAMS_64
 
     @pytest.mark.parametrize(

@@ -50,29 +50,31 @@ def systematic_with_permutation(columns: np.ndarray, height: int, col_orders: np
     them, bit r standing for the pivot column of row r.
 
     The state is held as (n, W, B), so that each word of column t of every
-    reduction is one contiguous run.  tail, a (B, W) array, is one more
-    column per reduction that is reduced along with the others but never
-    becomes a pivot.
+    reduction is one contiguous run; in uint32 words when height <= 32,
+    which halves the bytes every step moves.  tail, a (B, W) array, is one
+    more column per reduction that is reduced along with the others but
+    never becomes a pivot.
 
     Returns (reduced, rows): reduced[t, b] is column col_orders[b, t] of
-    reduction b after it (and reduced[n, b] the tail, if given), and
-    rows[t, b] is the pivot row of that column, or -1 where it depends on
-    the pivots before it.  For a fixed pivot set the reduced form is
-    unique.  Raises ValueError if the matrix has fewer than `height`
-    independent columns.
+    reduction b after it (and reduced[n, b] the tail, if given), as uint64
+    words, and rows[t, b] is the pivot row of that column, or -1 where it
+    depends on the pivots before it.  For a fixed pivot set the reduced
+    form is unique.  Raises ValueError if the matrix has fewer than
+    `height` independent columns.
     """
     col_orders = np.asarray(col_orders, dtype=np.intp)
     batch, n = col_orders.shape
     nwords = columns.shape[1]
-    state = np.empty((n + (tail is not None), nwords, batch), dtype=np.uint64)
+    word = np.uint32 if height <= 32 else np.uint64
+    state = np.empty((n + (tail is not None), nwords, batch), dtype=word)
     for w in range(nwords):
         state[:n, w] = columns[col_orders.T, w]
     if tail is not None:
         state[n] = tail.T
     # bit r of the free mask is set while row r has no pivot
     free_rows = [(1 << min(WORD_BITS, height - WORD_BITS * w)) - 1 for w in range(nwords)]
-    free = np.repeat(np.array(free_rows, dtype=np.uint64)[:, None], batch, axis=1)
-    pivot_bits = np.zeros((n, nwords, batch), dtype=np.uint64)
+    free = np.repeat(np.array(free_rows, dtype=word)[:, None], batch, axis=1)
+    pivot_bits = np.zeros((n, nwords, batch), dtype=word)
     for t in range(n):
         if t >= height and not free.any():
             break
@@ -80,12 +82,16 @@ def systematic_with_permutation(columns: np.ndarray, height: int, col_orders: np
         held = column & free
         # the lowest set bit of each word, kept in the first word that has one
         low = held & -held
-        np.copyto(low[1:], 0, where=np.logical_or.accumulate(held != 0)[:-1])
+        ahead = state[t + 1 :]
+        if nwords == 1:
+            hit = (ahead & low) != 0
+        else:
+            np.copyto(low[1:], 0, where=np.logical_or.accumulate(held != 0)[:-1])
+            hit = np.logical_or.reduce(ahead & low, axis=1, keepdims=True)
         free ^= low
         pivot_bits[t] = low
         # the columns ahead holding the pivot bit take the column's other bits
-        ahead = state[t + 1 :]
-        ahead ^= np.logical_or.reduce(ahead & low, axis=1, keepdims=True) * (column ^ low)
+        ahead ^= hit * (column ^ low)
     if free.any():
         raise ValueError("matrix does not have full row rank over GF(2)")
     found = pivot_bits != 0
@@ -93,6 +99,6 @@ def systematic_with_permutation(columns: np.ndarray, height: int, col_orders: np
     # a pivot column is the unit vector of its row
     np.copyto(state[:n], pivot_bits, where=pivot[:, None])
     offsets = WORD_BITS * np.arange(nwords)[:, None]
-    rows = np.where(found, np.bitwise_count(pivot_bits - np.uint64(1)) + offsets, 0).sum(axis=1)
+    rows = np.where(found, np.bitwise_count(pivot_bits - word(1)) + offsets, 0).sum(axis=1)
     rows[~pivot] = -1
-    return state.transpose(0, 2, 1), rows
+    return state.astype(np.uint64, copy=False).transpose(0, 2, 1), rows

@@ -94,7 +94,12 @@ def _generator_poly(roots, exp, log) -> list[int]:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """An (n, k, d_min) binary linear code with its generator matrix."""
+    """An (n, k, d_min) binary linear code with its generator matrix.
+
+    d_min must not exceed the code's true minimum distance: osd_decode's
+    ML certificate rests on it.  A lower bound is safe (0 certifies no
+    word); a value above the true distance can change decisions.
+    """
 
     n: int
     k: int
@@ -223,11 +228,14 @@ def transmit(code: CodeSpec, codeword: np.ndarray, snr: Snr, rng: np.random.Gene
 @dataclass
 class OsdStats:
     """Decoder work: words, patterns enumerated (all of them, as in the paper's
-    cost model) and candidates scored after the search's exact skips."""
+    cost model), candidates scored after the search's exact skips, and words
+    whose order-0 candidate was certified maximum-likelihood before the
+    search (each scored that one candidate)."""
 
     decodes: int = 0
     patterns_evaluated: int = 0
     candidates_scored: int = 0
+    certified: int = 0
 
     def add(self, other: OsdStats) -> None:
         """Add other's counts to these."""
@@ -241,6 +249,9 @@ class OsdStats:
 # 5.3 to 13 MB.
 _CHUNK_WORDS = 64
 _SCORE_CANDIDATES = 8192
+# Relative margin on each side of the ML certificate's comparison: covers
+# the rounding of float sums of up to 2^21 non-negative terms (README).
+_CERTIFICATE_MARGIN = 2.0**-30
 
 
 @functools.cache
@@ -329,6 +340,30 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
     return best_word, best_pattern, scored
 
 
+def _certified(syndrome, basis_weights, lowest_rows, lowest_weights, d_min):
+    """Which words' order-0 candidate is the unique ML codeword, proven (B,) bool.
+
+    The candidate differs from the hard decisions on D, the w set bits of
+    syndrome (B, W), all on the least reliable basis, whose |y| by pivot
+    row are basis_weights (B, n-k); its score is their sum.  Any other
+    codeword differs from the candidate in at least d_min positions, so
+    from the hard decisions in at least d_min - w positions outside D, and
+    scores at least the sum of the d_min - w smallest |y| outside D
+    (Taipale & Pursley, IEEE Trans. IT 37(1), 1991).  Those all lie among
+    the d_min least reliable steps, whose pivot rows (-1 for none) and
+    |y| are lowest_rows and lowest_weights (B, d_min), least reliable
+    first.  A word is certified when its score is below that bound, with
+    each side moved by _CERTIFICATE_MARGIN against it, which covers the
+    rounding of every float score the search would compute.
+    """
+    in_d = _gf2.unpack(syndrome, basis_weights.shape[1]).astype(bool)
+    score = np.where(in_d, basis_weights, 0.0).sum(axis=1)
+    outside = ~((lowest_rows >= 0) & np.take_along_axis(in_d, lowest_rows, axis=1))
+    taken = outside & (outside.cumsum(axis=1) <= d_min - in_d.sum(axis=1)[:, None])
+    bound = np.where(taken, lowest_weights, 0.0).sum(axis=1)
+    return score * (1 + _CERTIFICATE_MARGIN) < bound * (1 - _CERTIFICATE_MARGIN)
+
+
 def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None = None, *,
                _messages: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Order-s OSD: returns (message estimate, codeword estimate).
@@ -348,8 +383,10 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     its first n-k independent columns, the least reliable basis, are by
     matroid duality the complement of the most reliable one, and every
     other column and the syndrome of the hard decisions hold coordinates
-    on them (_search).  The search runs on _CHUNK_WORDS words at a time.
-    _messages=False returns None for the messages and recovers none.
+    on them (_search).  From order 1, a word whose order-0 candidate is
+    proven ML (_certified) keeps it and skips the search; the others are
+    searched _CHUNK_WORDS words at a time.  _messages=False returns None
+    for the messages and recovers none.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
@@ -372,14 +409,18 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     patterns, starts = _pattern_positions(code.k, order)
     syndrome = reduced[n]
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
-    scored = 0
+    scored = certified = 0
     if order > 0:
-        columns = reduced[by_role[:, height:], words]
-        for lo in range(0, batch, _CHUNK_WORDS):
-            part = slice(lo, lo + _CHUNK_WORDS)
+        lowest = least_reliable_first[:, : code.d_min]
+        search = np.flatnonzero(~_certified(syndrome, weights[:, :height], rows[: code.d_min].T,
+                                            reliability[words, lowest], code.d_min))
+        scored = certified = batch - search.size
+        columns = reduced[by_role[search, height:], search[:, None]]
+        for lo in range(0, search.size, _CHUNK_WORDS):
+            part = search[lo : lo + _CHUNK_WORDS]
             best_word[part], best_pattern[part], part_scored = _search(
-                syndrome[part], columns[part], weights[part, :height], weights[part, height:],
-                patterns, starts,
+                syndrome[part], columns[lo : lo + _CHUNK_WORDS], weights[part, :height],
+                weights[part, height:], patterns, starts,
             )
             scored += part_scored
     flipped = np.zeros((batch, code.k + 1), dtype=bool)
@@ -388,7 +429,7 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     diff[words, positions] = np.concatenate([_gf2.unpack(best_word, height), flipped[:, : code.k]], axis=1)
     cw = (hard ^ diff).astype(np.uint8).reshape(shape)
     if stats is not None:
-        stats.add(OsdStats(batch, batch * len(patterns), scored))
+        stats.add(OsdStats(batch, batch * len(patterns), scored, certified))
     return (message_from_codeword(code, cw) if _messages else None), cw
 
 

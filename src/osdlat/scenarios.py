@@ -26,6 +26,7 @@ from osdlat.fblmath import (
 )
 from osdlat.oscomplexity import LatencyBudget, total_latency
 from osdlat.tradeoff import (
+    EXTRAPOLATIONS,
     TradeoffParams,
     complexity_to_penalty,
     params_for_blocklength,
@@ -40,8 +41,9 @@ class ScenarioConfig:
     power_cap_db is the transmit-power budget P_m: maximize_k needs it
     finite, minimize_latency needs it and allows +inf, max_rate_curve
     uses it only to pick its optimum; never -inf or nan.
-    params_extrapolation picks the law's per-blocklength provider, and
-    params_override pins one parameter set for every blocklength instead.
+    params_extrapolation, one of EXTRAPOLATIONS, picks the law's
+    per-blocklength provider, and params_override pins one parameter set
+    for every blocklength instead.
     What only one sweep reads (its blocklengths, payload or rate grid) is
     an argument of that sweep.
     """
@@ -56,6 +58,8 @@ class ScenarioConfig:
         validate_epsilon(self.epsilon)
         if self.power_cap_db is not None and not self.power_cap_db > -math.inf:
             raise ValueError(f"power_cap_db must be finite or +inf, got {self.power_cap_db}")
+        if self.params_extrapolation not in EXTRAPOLATIONS:
+            raise ValueError(f"unknown extrapolation mode {self.params_extrapolation!r}")
 
     def law_params(self, n: int) -> TradeoffParams:
         if self.params_override is not None:

@@ -163,6 +163,22 @@ class TestEncode:
         nonzero = words[words.sum(axis=1) > 0]
         assert nonzero.sum(axis=1).min() == weight == code.d_min
 
+    def test_d_min_is_at_most_every_minimum_weight(self):
+        # the ML certificate needs d_min <= the true minimum distance; every
+        # constructible eBCH code with k <= 16 is enumerated in full
+        checked = []
+        for m in range(3, 9):
+            for k in range(1, 17):
+                try:
+                    code = build_ebch(1 << m, k)
+                except ConstructionError:
+                    continue
+                messages = (np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1
+                weights = (messages.astype(np.float32) @ code.generator % 2).sum(axis=1)
+                assert weights.min() >= code.d_min, (code.n, k)
+                checked.append((code.n, k))
+        assert len(checked) == 20
+
     def test_message_recovery_round_trip(self, code12864):
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -541,11 +557,13 @@ class TestOsdKernel:
             assert work.candidates_scored <= work.patterns_evaluated
 
     @pytest.mark.parametrize("quantum", [0.0, 0.25, 0.5])
-    @pytest.mark.parametrize("n,k,order,offset_db", [(64, 36, 3, -2.0), (64, 36, 3, -1.0), (128, 64, 2, 0.0),
+    @pytest.mark.parametrize("n,k,order,offset_db", [(16, 7, 3, -4.0), (32, 16, 1, -3.0), (32, 16, 2, -3.0),
+                                                     (64, 36, 3, -2.0), (64, 36, 3, -1.0), (128, 64, 2, 0.0),
                                                      (128, 64, 2, 1.0)])
     def test_skipped_weights_keep_the_reference_codeword(self, n, k, order, offset_db, quantum):
-        # at these SNRs some words skip whole weights, and on a coarse grid
-        # of y candidates tie exactly, so the first minimum must survive skips
+        # at these SNRs some words are certified and skip the search, others
+        # skip whole weights, and on a coarse grid of y |y| and candidates
+        # tie exactly, so the first minimum must survive both skips
         code = kernel_code(n, k)
         snr = Snr(required_snr(n, 1e-3, k / n).db + offset_db)
         rng = np.random.default_rng(n + order)
@@ -559,6 +577,7 @@ class TestOsdKernel:
             _, got = osd_decode(code, y, order, stats)
         for word, cw in zip(y, got):
             assert np.array_equal(cw, osd_reference.osd_decode(code.generator, word, order)[0])
+        assert 0 < stats.certified < len(y)
         assert stats.candidates_scored < stats.patterns_evaluated
 
     def test_search_skips_weights_at_the_normal_approximation(self):
@@ -568,6 +587,64 @@ class TestOsdKernel:
         estimate_bler(code, 3, snr, min_errors=10**6, max_trials=512, seed=3, stats=stats)
         assert stats.patterns_evaluated == 512 * pattern_count(36, 3)
         assert 0 < stats.candidates_scored < stats.patterns_evaluated / 4
+
+    @pytest.mark.parametrize("snr_db", [-2.0, 0.0, 2.0])
+    @pytest.mark.parametrize("n,k", [(8, 4), (16, 7), (16, 11)])
+    def test_certified_words_are_ml_at_full_order(self, n, k, snr_db):
+        # at order k every codeword is a candidate, so the search finds the
+        # ML codeword: a certified word must be it; a bound one term too
+        # large certifies tens of these words wrongly
+        code = kernel_code(n, k)
+        bare = CodeSpec(n=n, k=k, d_min=0, generator=code.generator)
+        rng = np.random.default_rng([n, k, int(snr_db) + 10])
+        codewords = rng.integers(0, 2, (2048, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + 10 ** (-snr_db / 20) * rng.standard_normal((2048, n))
+        stats = OsdStats()
+        assert np.array_equal(osd_decode(code, y, k, stats)[1], osd_decode(bare, y, k)[1])
+        assert 0 < stats.certified < len(y)
+
+    def test_certificate_refuses_ties_and_near_ties(self):
+        # hard decisions one flip from the zero codeword, on position 4; the
+        # other codewords are >= 4 flips away, so the bound is the three
+        # smallest other |y|: equal to the score, or above it by 1e-12 relative
+        code = kernel_code(8, 4)
+        y = np.array([[5.0, 5.0, 5.0, 5.0, -3.0, 1.0, 1.0, 1.0],
+                      [5.0, 5.0, 5.0, 5.0, -3.0, 1.0, 1.0, 1.0 + 3e-12]])
+        stats = OsdStats()
+        _, got = osd_decode(code, y, 1, stats)
+        assert not got.any()
+        assert stats.certified == 0
+        # the near tie clears the bare comparison: only the margin holds it back
+        with mock.patch.object(codecsim, "_CERTIFICATE_MARGIN", 0.0):
+            stats = OsdStats()
+            assert not osd_decode(code, y, 1, stats)[1].any()
+        assert stats.certified == 1
+
+    def test_search_certifies_at_the_normal_approximation(self):
+        # the mc_sweep point: a silent fallback to searching every word fails here
+        code, stats = kernel_code(64, 36), OsdStats()
+        snr = Snr(required_snr(64, 1e-2, 36 / 64).db)
+        estimate_bler(code, 1, snr, min_errors=10**6, max_trials=512, seed=3, stats=stats)
+        assert stats.patterns_evaluated == 512 * pattern_count(36, 1)
+        assert 0 < stats.certified < 512
+        assert stats.candidates_scored < stats.patterns_evaluated
+
+    @pytest.mark.parametrize("n,k,order", [(16, 7, 2), (64, 36, 1), (128, 64, 1)])
+    def test_zero_d_min_certifies_nothing(self, n, k, order):
+        # noiseless words too: their order-0 candidate scores exactly 0
+        code = kernel_code(n, k)
+        bare = CodeSpec(n=n, k=k, d_min=0, generator=code.generator)
+        rng = np.random.default_rng(n)
+        codewords = rng.integers(0, 2, (40, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + 0.6 * rng.standard_normal((40, n))
+        y[:8] = 1.0 - 2.0 * codewords[:8]
+        stats, bare_stats = OsdStats(), OsdStats()
+        messages, got = osd_decode(code, y, order, stats)
+        bare_messages, bare_got = osd_decode(bare, y, order, bare_stats)
+        assert np.array_equal(bare_got, got)
+        assert np.array_equal(bare_messages, messages)
+        assert bare_stats.certified == 0 < stats.certified
+        assert bare_stats.candidates_scored >= len(y)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 4), st.data())

@@ -122,3 +122,32 @@ def test_batch_equals_single_reductions(case, data):
         pivot_of_row[rows[rows[:, b] >= 0, b]] = order[rows[:, b] >= 0]
         coords = _gf2.unpack(reduced[n, b], k)
         assert np.array_equal(matrix[:, pivot_of_row] @ coords % 2, tails[b])
+
+
+@pytest.mark.parametrize("height", [32, 33, 64, 65])
+def test_word_boundaries_match_reference(height):
+    # up to 32 rows the state is held in uint32 words, up to 64 in one
+    # uint64 word, past that in two; each reduction of a batch with a tail
+    # is the reference's
+    n = height + 12
+    rng = np.random.default_rng(height)
+    matrix = rng.integers(0, 2, (height, n), dtype=np.uint8)
+    assert full_rank(matrix)
+    orders = np.array([rng.permutation(n) for _ in range(5)])
+    tails = rng.integers(0, 2, (len(orders), height), dtype=np.uint8)
+    reduced, rows = reduce(matrix, orders, _gf2.pack(tails))
+    assert reduced.dtype == np.uint64
+    assert reduced.shape == (n + 1, len(orders), -(-height // 64))
+    for b, order in enumerate(orders):
+        ref_sys, perm = osd_reference.systematic_with_permutation(matrix, order)
+        steps = np.flatnonzero(rows[:, b] >= 0)
+        assert np.array_equal(order[steps], perm[:height])
+        assert np.array_equal(np.sort(rows[steps, b]), np.arange(height))
+        # reference column j is input column perm[j], and its row i pivots on perm[i]
+        dense = np.empty((height, n), dtype=np.uint8)
+        dense[:, order] = _gf2.unpack(reduced[:n, b], height).T
+        assert np.array_equal(dense[rows[steps, b]][:, perm], ref_sys)
+        pivot_of_row = np.empty(height, dtype=np.intp)
+        pivot_of_row[rows[steps, b]] = order[steps]
+        coords = _gf2.unpack(reduced[n, b], height)
+        assert np.array_equal(matrix[:, pivot_of_row] @ coords % 2, tails[b])

@@ -215,6 +215,13 @@ class TestConfigAndSerialization:
         with pytest.raises(ValueError, match="power_cap_db"):
             ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=cap)
 
+    @pytest.mark.parametrize("override", [None, params_for_blocklength(64)])
+    def test_unknown_extrapolation_rejected(self, override):
+        # refused at construction, not in the middle of a sweep, even when an override hides it
+        with pytest.raises(ValueError, match="unknown extrapolation mode 'bogus'"):
+            ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, params_extrapolation="bogus",
+                           params_override=override)
+
     def test_rate_grid_excludes_one(self):
         cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3)
         result = max_rate_curve(64, cfg, rate_step=0.25)

@@ -14,8 +14,10 @@ pairs the change won.
 It also times fresh ``python -m osdlat`` processes of the commands in
 ``CLI_COMMANDS`` on both sides, sides alternating, ``CLI_SAMPLES`` each:
 start-up and imports count there, as they do at the command line.  And it
-times, on both sides, the Tier-1 suite and the slow acceptance
-gates (``pytest -m slow``), and on the change the gates' three simulated
+times, on both sides, the Tier-1 suite, the slow acceptance
+gates (``pytest -m slow``) and the benchmark's own tests
+(``pytest perfbench/tests``, whose last line shows any failed check), and
+on the change the gates' three simulated
 sweeps with 1 and with 2 pool workers, next to ``mc_sweep_parallel``
 against ``mc_sweep``: the data that decides whether the process pool pays.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
@@ -23,7 +25,7 @@ of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
 
 Run it on an otherwise idle machine: with 10 pairs of 20 s runs over four
-workloads plus both suites it takes about an hour.
+workloads plus the three suites it takes about an hour.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def suites(side: Path) -> dict:
     return {
         "tier1": timed(side, pytest + ["--continue-on-collection-errors"]),
         "slow_gates": timed(side, pytest + ["-m", "slow", "tests/test_acceptance.py"]),
+        "perfbench": timed(side, pytest + ["perfbench/tests"]),
     }
 
 

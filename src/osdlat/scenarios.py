@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from osdlat.fblmath import (
     Snr,
-    _rate,
+    _unclamped_rate,
+    lockstep,
     q_inv,
     required_snr,
     validate_epsilon,
@@ -108,23 +109,34 @@ def _deadline_cost(n: int, k: int, cfg: ScenarioConfig) -> tuple[float, float, f
     return c_allowed, complexity_to_penalty(c_allowed, cfg.law_params(n)), budget.deadline
 
 
-def _deadline_point(n: int, k: int, rate: float, cfg: ScenarioConfig) -> SweepPoint:
-    """Sweep row for k bits at the given rate when the deadline caps decoding."""
-    c_allowed, delta, latency = _deadline_cost(n, k, cfg)
-    if math.isinf(delta):
-        return SweepPoint(n=n, k=k, rate=rate, c=c_allowed, feasible=False)
-    req = required_snr(n, cfg.epsilon, rate)
-    return SweepPoint(
-        n=n,
-        k=k,
-        rate=rate,
-        required_snr_db=req.db,
-        delta_rho_db=delta,
-        snr_db=req.db + delta,
-        c=c_allowed,
-        total_latency_s=latency,
-        feasible=True,
-    )
+def _deadline_points(
+    rows: Sequence[tuple[int, int, float]], cfg: ScenarioConfig
+) -> list[SweepPoint]:
+    """Sweep rows for (n, k bits, rate) when the deadline caps decoding,
+    with one required_snr call for the rows the law leaves feasible."""
+    costs = [_deadline_cost(n, k, cfg) for n, k, _ in rows]
+    priced = [row for row, (_, delta, _) in zip(rows, costs) if not math.isinf(delta)]
+    reqs = iter(required_snr([row[0] for row in priced], cfg.epsilon, [row[2] for row in priced]))
+    sweep = []
+    for (n, k, rate), (c_allowed, delta, latency) in zip(rows, costs):
+        if math.isinf(delta):
+            sweep.append(SweepPoint(n=n, k=k, rate=rate, c=c_allowed, feasible=False))
+            continue
+        req = next(reqs)
+        sweep.append(
+            SweepPoint(
+                n=n,
+                k=k,
+                rate=rate,
+                required_snr_db=req.db,
+                delta_rho_db=delta,
+                snr_db=req.db + delta,
+                c=c_allowed,
+                total_latency_s=latency,
+                feasible=True,
+            )
+        )
+    return sweep
 
 
 def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> ScenarioResult:
@@ -144,7 +156,7 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
         raise ValueError("deadline must exceed the transmission time n*T_s")
     steps = int(math.ceil(1.0 / rate_step)) - 1
     rates = [i * rate_step for i in range(1, steps + 1) if i * rate_step < 1.0]
-    sweep = [_deadline_point(n, math.ceil(rate * n), rate, cfg) for rate in rates]
+    sweep = _deadline_points([(n, math.ceil(rate * n), rate) for rate in rates], cfg)
     optimum = next(
         (pt for pt in reversed(sweep)
          if pt.feasible and (cfg.power_cap_db is None or pt.snr_db <= cfg.power_cap_db)),
@@ -153,8 +165,9 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig, backoff: float) -> bool:
-    """Whether k bits fit at blocklength n; backoff is q_inv(cfg.epsilon)."""
+def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig, backoff: float):
+    """Whether k bits fit at blocklength n, as a lockstep search; backoff
+    is q_inv(cfg.epsilon)."""
     rate = k / n
     if rate >= 1.0:
         return False
@@ -166,7 +179,24 @@ def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig, backoff: float) -> bool
         # -inf or past either end of the linear scale: below it no rate
         # fits, above it every rate below 1 does
         return snr_left > 0
-    return _rate(n, backoff, snr) >= rate
+    # the rate before its clamp at 0 decides alike: the target is positive
+    stats = yield snr.linear
+    return _unclamped_rate(n, backoff, *stats) >= rate
+
+
+def _max_k_search(n: int, cfg: ScenarioConfig, backoff: float):
+    """The largest k that fits at blocklength n, or None, as a lockstep
+    search: a binary search on k (feasibility is monotone in k)."""
+    if _decode_window(n, cfg) < 0 or not (yield from _max_k_feasible(n, 1, cfg, backoff)):
+        return None
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (yield from _max_k_feasible(n, mid, cfg, backoff)):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
@@ -175,24 +205,15 @@ def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
     For each blocklength in ns, binary-searches the largest k whose
     required SNR plus the law's penalty for the deadline-allowed
     complexity stays within power_cap_db (feasibility is monotone in k).
-    The optimum is the blocklength maximizing k.
+    The searches of all blocklengths run in lockstep.  The optimum is the
+    blocklength maximizing k.
     """
     if cfg.power_cap_db is None or math.isinf(cfg.power_cap_db):
         raise ValueError("maximize_k needs a finite power_cap_db")
     backoff = q_inv(cfg.epsilon)
-    sweep = []
-    for n in ns:
-        if _decode_window(n, cfg) < 0 or not _max_k_feasible(n, 1, cfg, backoff):
-            sweep.append(SweepPoint(n=n, feasible=False))
-            continue
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _max_k_feasible(n, mid, cfg, backoff):
-                lo = mid
-            else:
-                hi = mid - 1
-        sweep.append(_deadline_point(n, lo, lo / n, cfg))
+    ks = lockstep(_max_k_search(n, cfg, backoff) for n in ns)
+    rows = iter(_deadline_points([(n, k, k / n) for n, k in zip(ns, ks) if k is not None], cfg))
+    sweep = [SweepPoint(n=n, feasible=False) if k is None else next(rows) for n, k in zip(ns, ks)]
     optimum = max((pt for pt in sweep if pt.feasible), key=lambda pt: pt.k, default=None)
     return ScenarioResult("max-k", sweep, optimum)
 
@@ -212,6 +233,9 @@ def minimize_latency(cfg: ScenarioConfig, k: int, ns: Sequence[int]) -> Scenario
         raise ValueError(f"minimize_latency needs 1 <= k <= n for every blocklength, got k={k}")
     budget = cfg.budget
     unconstrained = math.isinf(cfg.power_cap_db)
+    # one required_snr call for the rows the power cap decides
+    priced = [] if unconstrained else [n for n in ns if k / n < 1.0]
+    reqs = iter(required_snr(priced, cfg.epsilon, [k / n for n in priced]))
     sweep = []
     for n in ns:
         rate = k / n
@@ -226,7 +250,7 @@ def minimize_latency(cfg: ScenarioConfig, k: int, ns: Sequence[int]) -> Scenario
         if rate >= 1.0:
             sweep.append(SweepPoint(n=n, k=k, rate=rate, feasible=False))
             continue
-        req = required_snr(n, cfg.epsilon, rate)
+        req = next(reqs)
         avail = cfg.power_cap_db - req.db
         if avail <= 0:
             sweep.append(

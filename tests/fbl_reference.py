@@ -1,13 +1,26 @@
-"""Reference implementation ``fblmath.required_snr`` is checked against.
+"""Reference implementations ``fblmath`` is checked against.
 
 ``required_snr`` is the plain 80-step bisection in dB that the package
-replays: it evaluates the rate at every midpoint.  It is kept as an
-oracle only.
+replays: it evaluates the rate at every midpoint.  ``info_density_stats``
+is the quadrature at one SNR, which the package evaluates in batches.
+Both are kept as oracles only.
 """
 
 from __future__ import annotations
 
-from osdlat.fblmath import InfeasibleError, Snr, _rate, q_inv, validate_epsilon, validate_rate
+import math
+
+import numpy as np
+
+from osdlat.fblmath import (
+    InfeasibleError,
+    Snr,
+    _hermgauss,
+    _rate,
+    q_inv,
+    validate_epsilon,
+    validate_rate,
+)
 
 
 def required_snr(n: int, epsilon: float, rate: float, start=(-60.0, 40.0)) -> Snr:
@@ -39,3 +52,17 @@ def required_snr(n: int, epsilon: float, rate: float, start=(-60.0, 40.0)) -> Sn
         else:
             lo = mid
     return Snr(hi)
+
+
+def info_density_stats(rho: float, nodes: int) -> tuple[float, float]:
+    """``fblmath._info_density_stats`` at one linear SNR, one numpy pass
+    over the nodes summed with ``np.dot``: the floats the batched pass
+    must reproduce row by row."""
+    x, w = _hermgauss(nodes)
+    z = math.sqrt(2.0) * x
+    arg = -2.0 * rho - 2.0 * math.sqrt(rho) * z
+    g = np.logaddexp(0.0, arg)
+    norm = 1.0 / math.sqrt(math.pi)
+    mean_g = float(np.dot(w, g)) * norm
+    mean_g2 = float(np.dot(w, g * g)) * norm
+    return max(math.log(2.0) - mean_g, 0.0), max(mean_g2 - mean_g * mean_g, 0.0)

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import fbl_reference
 import numpy as np
@@ -139,6 +140,75 @@ class TestCapacityDispersion:
             biawgn_capacity(Snr(0.0), nodes=16)
 
 
+class TestBatchedQuadrature:
+    """_info_density_stats evaluates many SNRs in one pass, and each row is
+    the float of the one-SNR pass in fbl_reference."""
+
+    GRID_DB = np.concatenate([
+        np.arange(-400.0, 40.0 + 1e-9, 0.05),
+        np.random.default_rng(20261019).uniform(-400.0, 40.0, 500),
+    ])
+
+    @pytest.mark.parametrize("nodes", [32, 64, 128, 200])
+    def test_rows_equal_the_one_snr_pass(self, nodes):
+        stats = fblmath._info_density_stats
+        rhos = [fblmath._linear(float(db)) for db in self.GRID_DB]
+        want = [fbl_reference.info_density_stats(rho, nodes) for rho in rhos]
+        stats.cache_clear()
+        assert stats(rhos, nodes) == want
+        stats.cache_clear()
+        assert [stats([rho], nodes)[0] for rho in rhos] == want
+        assert all(type(c) is float and type(v) is float for c, v in stats(rhos, nodes))
+
+    def test_ends_of_the_linear_scale(self):
+        # -2 rho is -inf past about 3075 dB, as in the one-SNR pass, and warns of nothing
+        rhos = [Snr(db).linear for db in (-3236.0, -1000.0, 3075.0, 3076.0, 3082.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fblmath._quadrature(rhos, QUADRATURE_NODES)
+        assert got == [fbl_reference.info_density_stats(rho, QUADRATURE_NODES) for rho in rhos]
+
+    def test_cache_counts_quadratures(self):
+        stats = fblmath._info_density_stats
+        stats.cache_clear()
+        a, b = Snr(1.0).linear, Snr(2.0).linear
+        # a repeat within a call is computed once and then hit, as in a loop of calls
+        first = stats([a, b, a], QUADRATURE_NODES)
+        assert first[0] == first[2]
+        assert stats([b, a], QUADRATURE_NODES) == first[1:]
+        info = stats.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+        assert info.maxsize == 200_000
+        assert stats([], QUADRATURE_NODES) == []
+        stats.cache_clear()
+        assert stats.cache_info()[:2] == (0, 0)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The SNRs of each numpy pass _info_density_stats makes, from a cold cache."""
+        seen = []
+        quadrature = fblmath._quadrature
+
+        def recorded(rhos, nodes):
+            seen.append(list(rhos))
+            return quadrature(rhos, nodes)
+
+        monkeypatch.setattr(fblmath, "_quadrature", recorded)
+        fblmath._info_density_stats.cache_clear()
+        yield seen
+        fblmath._info_density_stats.cache_clear()
+
+    def test_oldest_is_evicted(self, monkeypatch, passes):
+        stats = fblmath._info_density_stats
+        monkeypatch.setattr(fblmath, "_STATS_CACHE_SIZE", 2)
+        a, b, c = (Snr(db).linear for db in (1.0, 2.0, 3.0))
+        first = stats([a, b, a], QUADRATURE_NODES)
+        stats([c], QUADRATURE_NODES)  # evicts a, the oldest
+        assert stats([a, b], QUADRATURE_NODES) == first[:2]  # b is a hit, and is evicted after it
+        assert passes == [[a, b], [c], [a]]
+        assert stats.cache_info() == fblmath.CacheInfo(hits=2, misses=4, maxsize=2, currsize=2)
+
+
 class TestNormalApproxRate:
     def test_eps_half_equals_capacity(self):
         for db in (-2.0, 1.0, 5.0):
@@ -259,7 +329,7 @@ class TestRequiredSnrReplay:
     def test_upper_start_reaches_every_rate(self, n, epsilon):
         # required_snr never moves its upper end, and the oracle never steps
         # its own up: the rate before the clamp is exactly 1 at 40 dB
-        stats = fblmath._info_density_stats(Snr(fblmath._START_DB[1]).linear, QUADRATURE_NODES)
+        stats = fblmath._info_density_stats([Snr(fblmath._START_DB[1]).linear], QUADRATURE_NODES)[0]
         assert fblmath._unclamped_rate(n, q_inv(epsilon), *stats) == 1.0
 
     def test_every_k_over_n_of_small_blocklengths(self):
@@ -269,6 +339,66 @@ class TestRequiredSnrReplay:
                     assert required_snr(n, epsilon, k / n).db == (
                         fbl_reference.required_snr(n, epsilon, k / n).db
                     ), (n, k, epsilon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(1, 10**6), _rates()), max_size=8),
+        epsilon=st.floats(-12.0, math.log10(0.99)).map(lambda e: 10.0**e),
+    )
+    @example(pairs=[(500, 0.5), (1, 1e-12), (128, 1.0)], epsilon=0.9)
+    @example(pairs=[(64, 0.5), (64, 0.5), (2, 0.5)], epsilon=1e-3)
+    def test_sequences_match_each_pair(self, pairs, epsilon):
+        """The lockstep form returns each pair's scalar result, or raises what
+        the first failing pair raises on its own."""
+        ns, rates = [n for n, _ in pairs], [rate for _, rate in pairs]
+        alone = [_outcome(required_snr, n, epsilon, rate) for n, rate in pairs]
+        failures = [outcome for outcome in alone if isinstance(outcome, tuple)]
+        try:
+            together = [snr.db for snr in required_snr(ns, epsilon, rates)]
+        except ValueError as exc:
+            together = (type(exc).__name__, str(exc))
+        assert together == (failures[0] if failures else alone)
+        if not failures:
+            oracle = [fbl_reference.required_snr(n, epsilon, rate).db for n, rate in pairs]
+            assert together == oracle
+
+    def test_first_failing_pair_in_order_raises(self):
+        # the floor's error surfaces rounds after the rate-1 pair fails, and
+        # still wins: a loop over the pairs would raise it first
+        with pytest.raises(ValueError, match="every SNR down to -400 dB") as caught:
+            required_snr([500, 1, 128], 0.9, [0.5, 1e-12, 1.0])
+        assert type(caught.value) is ValueError
+        with pytest.raises(InfeasibleError):
+            required_snr([500, 128, 1], 0.9, [0.5, 1.0, 1e-12])
+
+    def test_width_bounds_each_round(self, monkeypatch):
+        # searches past the width wait for live ones to stop, so a round's
+        # arrays and frames stay bounded however long the sweep, and each
+        # pair keeps its float and the error order holds
+        rounds = []
+        stats = fblmath._info_density_stats
+
+        def counted(rhos, nodes):
+            rounds.append(len(rhos))
+            return stats(rhos, nodes)
+
+        monkeypatch.setattr(fblmath, "_info_density_stats", counted)
+        monkeypatch.setattr(fblmath, "_LOCKSTEP_WIDTH", 3)
+        ns, rates = [2, 64, 128, 500, 1000, 10**5, 7], [0.5, 0.1, 0.9, 0.5, 0.25, 0.99, 3 / 7]
+        want = [required_snr(n, 1e-3, rate) for n, rate in zip(ns, rates)]
+        rounds.clear()
+        assert required_snr(ns, 1e-3, rates) == want
+        assert max(rounds) == 3
+        monkeypatch.setattr(fblmath, "_LOCKSTEP_WIDTH", 1)
+        with pytest.raises(ValueError, match="every SNR down to -400 dB"):
+            required_snr([500, 1, 128], 0.9, [0.5, 1e-12, 1.0])
+
+    def test_sequence_shapes(self):
+        assert required_snr([], 1e-3, []) == []
+        assert required_snr((128,), 1e-3, (0.5,)) == [required_snr(128, 1e-3, 0.5)]
+        for ns, rates in (([128, 64], [0.5]), (128, [0.5]), ([128], 0.5)):
+            with pytest.raises(ValueError, match="equal length"):
+                required_snr(ns, 1e-3, rates)
 
     def test_cold_cache_evaluations_per_call(self):
         """Far fewer quadratures than the bisection, which evaluates 56-60 points."""
@@ -316,7 +446,7 @@ class TestNoiseBound:
             mean_g = norm * mp.fsum(exact(wi) * gi for wi, gi in zip(w, g))
             mean_g2 = norm * mp.fsum(exact(wi) * gi * gi for wi, gi in zip(w, g))
             c_nats, v = max(ln2 - mean_g, 0), max(mean_g2 - mean_g**2, 0)
-            stats = fblmath._info_density_stats(fblmath._linear(db), QUADRATURE_NODES)
+            stats = fblmath._info_density_stats([fblmath._linear(db)], QUADRATURE_NODES)[0]
             for n, epsilon in ((1, 1e-12), (128, 1e-3), (10**6, 1e-3), (1, 0.99)):
                 backoff = q_inv(epsilon)
                 want = (c_nats - mp.sqrt(v / n) * exact(backoff)) * exact(fblmath.LOG2E)
@@ -329,7 +459,7 @@ class TestNoiseBound:
     def test_shape_on_a_grid(self, n, epsilon):
         backoff = q_inv(epsilon)
         grid = np.arange(-400.0, 400.0, 0.05)
-        stats = [fblmath._info_density_stats(fblmath._linear(db), QUADRATURE_NODES) for db in grid]
+        stats = fblmath._info_density_stats([fblmath._linear(db) for db in grid], QUADRATURE_NODES)
         tau = np.array([fblmath._noise_bound(n, backoff, *s) for s in stats])
         rate = np.array([max(fblmath._unclamped_rate(n, backoff, *s), 0.0) for s in stats])
         # the bound at an SNR covers every SNR above it, with a factor 2 to spare

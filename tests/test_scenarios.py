@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osdlat.fblmath import Snr, normal_approx_rate, q_inv, required_snr
+from osdlat import fblmath, scenarios
+from osdlat.fblmath import Snr, lockstep, normal_approx_rate, q_inv, required_snr
 from osdlat.oscomplexity import LatencyBudget
 from osdlat.scenarios import (
     ScenarioConfig,
@@ -99,7 +100,7 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = [_max_k_feasible(n, k, cfg, q_inv(cfg.epsilon)) for k in range(1, n)]
+            flags = lockstep([_max_k_feasible(n, k, cfg, q_inv(cfg.epsilon)) for k in range(1, n)])
             assert all(a or not b for a, b in zip(flags, flags[1:]))
 
     def test_optimum_satisfies_constraints_independently(self):
@@ -265,3 +266,43 @@ class TestSweepIsPerBlocklength:
         ns = [k + off for off in offsets]
         singles = [pt for n in ns for pt in minimize_latency(cfg, k, [n]).sweep]
         assert minimize_latency(cfg, k, ns).sweep == singles
+
+
+class TestLockstep:
+    """A sweep's searches advance together: each round's quadratures are
+    one _info_density_stats call, and each sweep one required_snr call."""
+
+    def test_cold_sweep_batches_its_quadratures(self, monkeypatch):
+        stats = fblmath._info_density_stats
+        calls = []
+
+        def counted(rhos, nodes):
+            calls.append(len(rhos))
+            return stats(rhos, nodes)
+
+        monkeypatch.setattr(fblmath, "_info_density_stats", counted)
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=8.0)
+        stats.cache_clear()
+        result = minimize_latency(cfg, 64, range(64, 192))
+        assert len(result.sweep) == 128 and result.optimum is not None
+        # one call per point, as a loop of replays makes, would be far above this
+        assert 20 * len(calls) < stats.cache_info().misses
+        assert sum(calls) == sum(stats.cache_info()[:2])
+
+    @pytest.mark.parametrize("sweep", [
+        lambda cfg: maximize_k(cfg, range(100, 228)),
+        lambda cfg: minimize_latency(cfg, 64, range(64, 192)),
+        lambda cfg: max_rate_curve(256, cfg),
+    ])
+    def test_one_required_snr_call_per_sweep(self, monkeypatch, sweep):
+        calls = []
+
+        def counted(n, epsilon, rate):
+            calls.append(len(n))
+            return required_snr(n, epsilon, rate)
+
+        monkeypatch.setattr(scenarios, "required_snr", counted)
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=6.0)
+        result = sweep(cfg)
+        assert calls == [sum(pt.required_snr_db is not None for pt in result.sweep)]
+        assert calls[0] > 0

@@ -280,7 +280,7 @@ def _flip_costs(costs, flips):
     return total
 
 
-def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
+def _search(syndrome, columns, row_weights, basis_weights, patterns, starts, lowest_rows, lowest_weights):
     """The best candidate per word: (its (n-k)-bit difference word, its pattern index, candidates scored).
 
     A candidate's difference from the hard decisions is its pattern on
@@ -290,16 +290,28 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
     word, read byte by byte from tables[j, 256 * b + v], the sum of
     row_weights of word b over the bits of value v at byte j.
 
-    Every word scores weight 0.  Later, a word skips weights w and up once
-    its floor, the flip cost of weight w's last pattern, is >= its best
-    score.  That pattern flips the w least reliable basis positions, as
-    basis_weights do not increase, so every term of a pattern of weight
-    >= w is at least as large; float addition is monotone, the lookups
-    add terms >= 0, and only a strictly lower score replaces the best, so
-    no decision changes, ties included.  Weights that fit in one block
-    share a pass.
+    Every word scores weight 0 and the weights that fit with it in one
+    block.  Each later weight w is split into groups by first flip i, and
+    a word skips the leading groups whose floor cannot beat its best
+    score so far (README, "distance floors").  A group's flip floor is the
+    flip cost of its last pattern, (i, k-w+1, ..., k-1): basis_weights do
+    not increase, so every term of the group's patterns is at least as
+    large, and float addition is monotone.  Its distance floor adds the
+    |y| that a weight-w candidate must at least add on the least reliable
+    basis, being d_min positions from each scored reference, the order-0
+    candidate and the best (_certified); lowest_rows and lowest_weights
+    (B, d_min) are the pivot rows (-1 for none) and |y| of the d_min least
+    reliable steps.  A group is skipped when its flip floor is >= the
+    best, or its distance floor is with each side moved by
+    _CERTIFICATE_MARGIN against it.  Floors do not increase along the
+    groups, so each word scores a suffix of the weight.  With the words
+    sorted by where their suffixes start, each block scores a leading
+    slice of them, and the blocks run back from the weight's end.  A
+    candidate replaces the best on a lower score, or an equal one with a
+    lower pattern index, so the first minimum in enumeration order wins.
     """
     batch, height = row_weights.shape
+    k, d_min = basis_weights.shape[1], lowest_rows.shape[1]
     nbytes = -(-height // 8)
     padded = np.zeros((batch, nbytes * 8))
     padded[:, :height] = row_weights
@@ -312,31 +324,55 @@ def _search(syndrome, columns, row_weights, basis_weights, patterns, starts):
     columns = np.concatenate([columns, np.zeros_like(columns[:, :1])], axis=1)
     costs = np.concatenate([basis_weights, np.zeros((batch, 1))], axis=1)
     best_word, best_pattern, best = syndrome.copy(), np.zeros(batch, dtype=np.intp), np.full(batch, np.inf)
-    scored, w, top = 0, 0, len(starts) - 1
-    words = np.arange(batch)  # weight 0 flips nothing: every word scores it
-    while words.size:
-        block = max(1, _SCORE_CANDIDATES // words.size)
-        end = next((e for e in range(w + 2, top + 1) if starts[e] - starts[w] > block), top + 1) - 1
-        scored += words.size * (starts[end] - starts[w])
+
+    def score(words, first, hi):
+        """Score patterns first[i] to hi - 1 of word words[i], first ascending; return how many."""
         word_columns, word_costs, word_syndrome = columns[words], costs[words], syndrome[words, None]
-        offsets, rows = 256 * words[:, None], np.arange(words.size)
-        for lo in range(starts[w], starts[end], block):
-            flips = patterns[lo : min(lo + block, starts[end])].T
-            diffs = np.bitwise_xor.reduce(np.take(word_columns, flips, axis=1), axis=1)
-            diffs ^= word_syndrome
-            scores = _flip_costs(word_costs, flips)
-            byte_values = diffs.astype("<u8", copy=False).view(np.uint8)
+        offsets, count = 256 * words[:, None], 0
+        while words.size and hi > first[0]:
+            live = int(np.searchsorted(first, hi))  # the words with first < hi lead
+            lo = max(int(first[0]), hi - max(1, _SCORE_CANDIDATES // live))
+            flips = patterns[lo:hi].T
+            diffs = np.bitwise_xor.reduce(np.take(word_columns[:live], flips, axis=1), axis=1)
+            diffs ^= word_syndrome[:live]
+            scores = _flip_costs(word_costs[:live], flips)
+            byte_values, table_offsets = diffs.astype("<u8", copy=False).view(np.uint8), offsets[:live]
             for j in range(nbytes):
-                scores += np.take(tables[j], byte_values[:, :, j] + offsets)
+                scores += np.take(tables[j], byte_values[:, :, j] + table_offsets)
             pick = scores.argmin(axis=1)
-            low = scores[rows, pick]
-            won = low < best[words]
-            at = words[won]
-            best[at], best_word[at], best_pattern[at] = low[won], diffs[won, pick[won]], lo + pick[won]
-        if end == top:
-            break
-        w = end
-        words = np.flatnonzero(_flip_costs(costs, patterns[starts[w + 1] - 1, :, None])[:, 0] < best)
+            low, index, at = scores[np.arange(live), pick], lo + pick, words[:live]
+            held = best[at]
+            won = (low < held) | ((low == held) & (index < best_pattern[at]))
+            at = at[won]
+            best[at], best_word[at], best_pattern[at] = low[won], diffs[won, pick[won]], index[won]
+            count, hi = count + live * (hi - lo), lo
+        return count
+
+    top = len(starts) - 1
+    end = next((e for e in range(2, top + 1) if starts[e] > max(1, _SCORE_CANDIDATES // batch)), top + 1) - 1
+    scored = score(np.arange(batch), np.zeros(batch, dtype=np.intp), starts[end])
+    for w in range(end, top):
+        group = starts[w] + np.searchsorted(patterns[starts[w] : starts[w + 1], 0], np.arange(k - w + 2))
+        flip = _flip_costs(costs, patterns[group[1:] - 1].T)
+        if not (flip[:, -1] < best).any():
+            continue  # every word skips the weight on flip cost alone
+        # where each of the d_min least reliable steps' pivot row sits in a word: index and bit
+        row = np.maximum(lowest_rows, 0)
+        at_row, row_bit = (np.arange(batch)[:, None], row >> 6), np.uint64(1) << (row & 63).astype(np.uint64)
+        # per reference (its LRB word and pattern weight), the d_min - w - flips - |word| least
+        # reliable |y| on the least reliable basis outside the word's set bits
+        reach = 0.0
+        for word, flips in ((syndrome, 0), (best_word, np.searchsorted(starts, best_pattern, side="right") - 1)):
+            outside = (lowest_rows >= 0) & (word[at_row] & row_bit == 0)
+            need = d_min - w - flips - np.bitwise_count(word).sum(axis=1, dtype=np.intp)
+            taken = outside & (outside.cumsum(axis=1) <= need[:, None])
+            reach = np.maximum(reach, np.where(taken, lowest_weights, 0.0).sum(axis=1))
+        skip = (flip >= best[:, None]) | (
+            (flip + reach[:, None]) * (1 - _CERTIFICATE_MARGIN) >= best[:, None] * (1 + _CERTIFICATE_MARGIN))
+        first = group[np.count_nonzero(skip, axis=1)]
+        words = np.flatnonzero(first < starts[w + 1])
+        words = words[np.argsort(first[words], kind="stable")]
+        scored += score(words, first[words], starts[w + 1])
     return best_word, best_pattern, scored
 
 
@@ -411,16 +447,17 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
     scored = certified = 0
     if order > 0:
-        lowest = least_reliable_first[:, : code.d_min]
-        search = np.flatnonzero(~_certified(syndrome, weights[:, :height], rows[: code.d_min].T,
-                                            reliability[words, lowest], code.d_min))
+        lowest_rows = rows[: code.d_min].T
+        lowest_weights = reliability[words, least_reliable_first[:, : code.d_min]]
+        search = np.flatnonzero(~_certified(syndrome, weights[:, :height], lowest_rows, lowest_weights,
+                                            code.d_min))
         scored = certified = batch - search.size
         columns = reduced[by_role[search, height:], search[:, None]]
         for lo in range(0, search.size, _CHUNK_WORDS):
             part = search[lo : lo + _CHUNK_WORDS]
             best_word[part], best_pattern[part], part_scored = _search(
                 syndrome[part], columns[lo : lo + _CHUNK_WORDS], weights[part, :height],
-                weights[part, height:], patterns, starts,
+                weights[part, height:], patterns, starts, lowest_rows[part], lowest_weights[part],
             )
             scored += part_scored
     flipped = np.zeros((batch, code.k + 1), dtype=bool)

@@ -3,7 +3,10 @@
 ``required_snr`` is the plain 80-step bisection in dB that the package
 replays: it evaluates the rate at every midpoint.  ``info_density_stats``
 is the quadrature at one SNR, which the package evaluates in batches.
-Both are kept as oracles only.
+Both are kept as oracles only, and the bisection computes its rates from
+``info_density_stats``, not from the package's batched pass, behind the
+plain dict ``STATS``: each (linear SNR, nodes) it evaluates once until
+the dict holds ``STATS_SIZE`` entries and is emptied.
 """
 
 from __future__ import annotations
@@ -13,14 +16,29 @@ import math
 import numpy as np
 
 from osdlat.fblmath import (
+    LOG2E,
+    QUADRATURE_NODES,
     InfeasibleError,
     Snr,
     _hermgauss,
-    _rate,
     q_inv,
     validate_epsilon,
     validate_rate,
 )
+
+STATS: dict[tuple[float, int], tuple[float, float]] = {}
+STATS_SIZE = 50_000  # bounds what a long test session holds
+
+
+def _rate(n: int, backoff: float, snr: Snr) -> float:
+    """The normal-approximation rate in bits, clamped at 0, from info_density_stats."""
+    key = (snr.linear, QUADRATURE_NODES)
+    if key not in STATS:
+        if len(STATS) >= STATS_SIZE:
+            STATS.clear()
+        STATS[key] = info_density_stats(*key)
+    c_nats, v = STATS[key]
+    return max((c_nats - math.sqrt(v / n) * backoff) * LOG2E, 0.0)
 
 
 def required_snr(n: int, epsilon: float, rate: float, start=(-60.0, 40.0)) -> Snr:

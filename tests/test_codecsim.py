@@ -588,6 +588,73 @@ class TestOsdKernel:
         assert stats.patterns_evaluated == 512 * pattern_count(36, 3)
         assert 0 < stats.candidates_scored < stats.patterns_evaluated / 4
 
+    def test_floors_skip_half_the_candidates_at_the_normal_approximation(self):
+        # the mc_high_order point at n = 128: the weight skip alone scores
+        # about 0.76 of the patterns, so a silent fallback to it fails here
+        code, stats = kernel_code(128, 64), OsdStats()
+        snr = Snr(required_snr(128, 1e-3, 64 / 128).db)
+        estimate_bler(code, 2, snr, min_errors=10**6, max_trials=512, seed=3, stats=stats)
+        assert stats.patterns_evaluated == 512 * pattern_count(64, 2)
+        assert 0 < stats.candidates_scored < 0.5 * stats.patterns_evaluated
+
+    @pytest.mark.parametrize("quantum", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("n,k,order,offset_db", [(32, 16, 3, -2.0), (64, 36, 3, -0.5), (128, 64, 2, 0.0)])
+    def test_distance_floors_keep_the_reference_codeword(self, n, k, order, offset_db, quantum):
+        # blocks of a few dozen candidates over slices of 7 words, so that a
+        # block's live words change inside a weight and block edges cut
+        # through groups; on a coarse grid of y floors and scores tie exactly
+        code = kernel_code(n, k)
+        snr = Snr(required_snr(n, 1e-3, k / n).db + offset_db)
+        rng = np.random.default_rng([n, order, int(4 * quantum)])
+        codewords = rng.integers(0, 2, (40, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + math.sqrt(1.0 / snr.linear) * rng.standard_normal((40, n))
+        if quantum:
+            y = np.round(y / quantum) * quantum
+        stats = OsdStats()
+        with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=97, _CHUNK_WORDS=7):
+            _, got = osd_decode(code, y, order, stats)
+        for word, cw in zip(y, got):
+            assert np.array_equal(cw, osd_reference.osd_decode(code.generator, word, order)[0])
+        assert stats.candidates_scored < stats.patterns_evaluated
+
+    def test_distance_floor_refuses_ties_and_near_ties(self):
+        # the order-0 candidate differs from the hard decisions on positions
+        # 1 and 2 of the least reliable basis and scores 5; the certificate's
+        # bound, 2 + 3, ties it.  A weight-1 candidate differs from it in at
+        # least d_min = 4 positions, at most one on the basis and two on
+        # positions 1 and 2, so in one more: the floor of flipping basis
+        # position 3 is 3 + |y_4| = 5, equal to the best, or above it by
+        # 1e-12 relative in the second word
+        code = kernel_code(8, 4)
+        y = np.array([[-6.0, 2.0, -3.0, -3.0, 2.0, 3.0, 5.0, -4.0],
+                      [-6.0, 2.0, -3.0, -3.0 * (1 + 1e-12), 2.0, 3.0, 5.0, -4.0]])
+        # blocks of one candidate: weight 0 scores alone, and weights 1 and 2 take the floors
+        for margin, scored in ((codecsim._CERTIFICATE_MARGIN, 2), (0.0, 1)):
+            with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=1, _CERTIFICATE_MARGIN=margin):
+                for word in y:
+                    stats = OsdStats()
+                    got = osd_decode(code, word, 2, stats)[1]
+                    assert np.array_equal(got, osd_reference.osd_decode(code.generator, word, 2)[0])
+                    assert (stats.certified, stats.candidates_scored) == (0, scored)
+
+    @pytest.mark.parametrize("n,k,order", [(32, 16, 3), (64, 36, 3), (128, 64, 2)])
+    def test_zero_d_min_keeps_every_decision(self, n, k, order):
+        # with d_min = 0 no floor has a distance term and no word is
+        # certified: the same decisions, from more candidates
+        code = kernel_code(n, k)
+        bare = CodeSpec(n=n, k=k, d_min=0, generator=code.generator)
+        snr = Snr(required_snr(n, 1e-3, k / n).db)
+        rng = np.random.default_rng([n, k, order])
+        codewords = rng.integers(0, 2, (64, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + math.sqrt(1.0 / snr.linear) * rng.standard_normal((64, n))
+        stats, bare_stats = OsdStats(), OsdStats()
+        with mock.patch.multiple(codecsim, _SCORE_CANDIDATES=512, _CHUNK_WORDS=10):
+            _, got = osd_decode(code, y, order, stats)
+            _, bare_got = osd_decode(bare, y, order, bare_stats)
+        assert np.array_equal(bare_got, got)
+        assert bare_stats.certified == 0 < stats.certified
+        assert stats.candidates_scored < bare_stats.candidates_scored
+
     @pytest.mark.parametrize("snr_db", [-2.0, 0.0, 2.0])
     @pytest.mark.parametrize("n,k", [(8, 4), (16, 7), (16, 11)])
     def test_certified_words_are_ml_at_full_order(self, n, k, snr_db):
@@ -662,6 +729,13 @@ class TestOsdKernel:
             assert list(patterns[starts[w + 1] - 1]) == list(range(k - w, k)) + [k] * (max(order, 1) - w)
             assert np.array_equal(floors[:, w], flip_costs[:, starts[w + 1] - 1])
             assert (flip_costs[:, starts[w] : starts[w + 1]] >= floors[:, w, None]).all()
+            if w:
+                # the group of first flip i: its last pattern floors it, and
+                # the floors do not increase along the groups
+                firsts = patterns[starts[w] : starts[w + 1], 0]
+                groups = [flip_costs[:, starts[w] + np.flatnonzero(firsts == i)] for i in range(k - w + 1)]
+                assert all((group >= group[:, -1:]).all() for group in groups)
+                assert (np.diff([group[:, -1] for group in groups], axis=0) <= 0).all()
         assert (np.diff(floors, axis=1) >= 0).all()
 
     @settings(max_examples=60, deadline=None)

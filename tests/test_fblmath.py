@@ -406,13 +406,19 @@ class TestRequiredSnrReplay:
         cases = [(n, eps, k / n) for eps in (1e-1, 1e-3, 1e-9)
                  for n in (2, 17, 64, 128, 500, 1000) for k in range(1, n, max(1, n // 7))]
 
-        def misses(search, case):
+        def misses(case):
             stats.cache_clear()
-            search(*case)
+            required_snr(*case)
             return stats.cache_info().misses
 
-        replay = [misses(required_snr, case) for case in cases]
-        bisection = [misses(fbl_reference.required_snr, case) for case in cases]
+        def bisection_misses(case):
+            # the oracle evaluates through its own cache, once per SNR
+            fbl_reference.STATS.clear()
+            fbl_reference.required_snr(*case)
+            return len(fbl_reference.STATS)
+
+        replay = [misses(case) for case in cases]
+        bisection = [bisection_misses(case) for case in cases]
         assert statistics.median(bisection) >= 59
         # a call that fell back to the whole bisection would reach its count
         assert max(replay) < min(bisection)

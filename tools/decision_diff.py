@@ -1,0 +1,88 @@
+"""Decision diff of the OSD decoder: the working tree against a parent commit.
+
+    python3 tools/decision_diff.py --parent HEAD
+
+The parent commit is exported with ``git archive`` into a temporary
+directory, as ``tools/bench_pairs.py`` does.  Each tree decodes the same
+seeded comparison set in its own subprocess: the eBCH codes and orders
+of ``CASES``, at the normal-approximation SNR for epsilon = 1e-3 moved
+by each of ``OFFSETS_DB``, with y unquantised and rounded to each of
+``QUANTA`` (rounding makes |y| and candidate scores tie exactly, so
+tie-breaking is compared too).  The tool prints the number of words
+whose decided codeword differs, per code and order, and exits 1 if any
+word differs.  It takes about 40 s on two vCPUs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from bench_pairs import ROOT, export
+
+# (n, k, highest order): orders 0 to the highest are decoded
+CASES = ((8, 4, 4), (16, 7, 4), (16, 11, 4), (32, 16, 4), (32, 26, 3), (64, 36, 3), (64, 57, 2),
+         (128, 64, 2), (128, 57, 2))
+OFFSETS_DB = (-2.0, -1.0, 0.0, 1.0, 2.0)
+QUANTA = (0.0, 0.25, 0.5)
+WORDS = 2048  # per code, order, offset and quantum
+SNIPPET = """
+import json, sys
+import numpy as np
+from osdlat.codecsim import build_ebch, osd_decode
+from osdlat.fblmath import required_snr
+
+cases, offsets, quanta, words = json.loads(sys.argv[1])
+decided = {}
+for n, k, top in cases:
+    code = build_ebch(n, k)
+    na_db = required_snr(n, 1e-3, k / n).db
+    for order in range(top + 1):
+        rows = []
+        for i, offset in enumerate(offsets):
+            rng = np.random.default_rng([n, k, order, i])
+            codewords = rng.integers(0, 2, (words, k)) @ code.generator % 2
+            y = 1.0 - 2.0 * codewords + 10 ** (-(na_db + offset) / 20) * rng.standard_normal((words, n))
+            for quantum in quanta:
+                rows.append(osd_decode(code, np.round(y / quantum) * quantum if quantum else y, order)[1])
+        decided[f"{n}x{k}_s{order}"] = np.packbits(np.concatenate(rows), axis=1)
+np.savez(sys.argv[2], **decided)
+"""
+
+
+def decisions(side: Path, out: Path) -> dict:
+    """Decided codewords (packed, one row per word) per code and order, from the tree at side."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OSDLAT_WORKERS", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(side / "src")
+    spec = json.dumps([CASES, OFFSETS_DB, QUANTA, WORDS])
+    subprocess.run([sys.executable, "-c", SNIPPET, spec, str(out)], cwd=side, env=env, check=True)
+    with np.load(out) as saved:
+        return dict(saved)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="commit the working tree is compared with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="decision-diff-") as tmp:
+        parent = Path(tmp) / "parent"
+        export(args.parent, parent)
+        old = decisions(parent, Path(tmp) / "parent.npz")
+        new = decisions(ROOT, Path(tmp) / "change.npz")
+    differing = total = 0
+    for name in old:
+        count = int(np.any(old[name] != new[name], axis=1).sum())
+        differing, total = differing + count, total + len(old[name])
+        print(f"{name}: {count} of {len(old[name])} words differ")
+    print(f"total: {differing} of {total} words differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict, namedtuple
-from collections.abc import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,9 +31,9 @@ _SHARED_STEPS = 10
 # Generous multiple of the unit roundoff in the bound on _rate's rounding
 # error (README, "How required_snr replays its bisection").
 _NOISE_ULPS = 2 * QUADRATURE_NODES * 2.0**-53
-# Searches lockstep keeps live: each holds about 2 KB of frames, and each
-# array of a round's quadrature pass is 1 MB at most at 128 nodes
-_LOCKSTEP_WIDTH = 1024
+# Rows a search runs at a time: each array of a round's quadrature pass is
+# 1 MB at most at 128 nodes
+_ROWS = 1024
 
 
 class InfeasibleError(ValueError):
@@ -105,46 +105,39 @@ def _hermgauss(nodes: int):
     return x, w
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-# _info_density_stats's cache, (rho, nodes) -> (capacity, dispersion),
-# oldest first and dropped first past its size.  An OrderedDict, because a
-# plain dict's iteration skips every key deleted from its front, so evicting
-# one key at a time from a full plain dict costs milliseconds per call.
-_STATS_CACHE_SIZE = 200_000
-_stats_cache: OrderedDict = OrderedDict()
-_stats_counts = [0, 0]  # quadratures looked up in the cache, and computed
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+_stats_counts = [0, 0]  # quadratures looked up and computed
 
 
 def _info_density_stats(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
     """(capacity, dispersion) in nats of _quadrature for each linear SNR in
-    rhos, computing those not in the cache in one pass.  lockstep, the
-    caller with many SNRs, sends at most _LOCKSTEP_WIDTH of them.
+    rhos, each distinct SNR computed once, in one pass.  The searches send
+    one round's points, at most _ROWS of them.
 
-    cache_info() and cache_clear() work as lru_cache's do: hits and misses
-    count quadratures looked up and computed.  An SNR repeated within one
-    call is computed once and hit after that, as in a loop of calls.
+    Nothing is kept between calls.  cache_info() counts quadratures looked
+    up (hits: repeats within a call) and computed (misses), and
+    cache_clear() sets both counts to 0, as lru_cache's do.
     """
-    keys = [(rho, nodes) for rho in rhos]
-    values = list(map(_stats_cache.get, keys))
-    new = []
-    if None in values:
-        new = list(dict.fromkeys(key for key, value in zip(keys, values) if value is None))
-        _stats_cache.update(zip(new, _quadrature([rho for rho, _ in new], nodes)))
-        values = list(map(_stats_cache.__getitem__, keys))
-        while len(_stats_cache) > _STATS_CACHE_SIZE:
-            _stats_cache.popitem(last=False)
-    _stats_counts[0] += len(keys) - len(new)
-    _stats_counts[1] += len(new)
-    return values
+    distinct = list(dict.fromkeys(rhos))
+    stats = dict(zip(distinct, _quadrature(distinct, nodes)))
+    _stats_counts[0] += len(rhos) - len(distinct)
+    _stats_counts[1] += len(distinct)
+    return list(map(stats.__getitem__, rhos))
 
 
-def _stats_cache_clear() -> None:
-    _stats_cache.clear()
+def _stats_counts_clear() -> None:
     _stats_counts[:] = [0, 0]
 
 
-_info_density_stats.cache_info = lambda: CacheInfo(*_stats_counts, _STATS_CACHE_SIZE, len(_stats_cache))
-_info_density_stats.cache_clear = _stats_cache_clear
+_info_density_stats.cache_info = lambda: CacheInfo(*_stats_counts)
+_info_density_stats.cache_clear = _stats_counts_clear
+
+
+@lru_cache(maxsize=64)
+def _scaled_nodes(nodes: int):
+    """sqrt(2) times the nodes, and the weights, of _hermgauss(nodes)."""
+    x, w = _hermgauss(nodes)
+    return math.sqrt(2.0) * x, w
 
 
 def _quadrature(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
@@ -160,12 +153,12 @@ def _quadrature(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
     elementwise, and np.vecdot sums each row with the same BLAS ddot as
     np.dot (README).
     """
-    x, w = _hermgauss(nodes)
-    z = math.sqrt(2.0) * x
+    z, w = _scaled_nodes(nodes)
     rho = np.array(rhos)[:, None]
-    with np.errstate(over="ignore"):  # -inf past about 3075 dB, silently, as in float arithmetic
-        arg = -2.0 * rho
-    g = np.logaddexp(0.0, arg - 2.0 * np.sqrt(rho) * z)
+    # From 2^1000 (about 3010 dB) up, every g is exactly 0 whether -2 rho
+    # is finite or, past about 3075 dB, -inf; the cap spares -2 rho its
+    # overflow warning.
+    g = np.logaddexp(0.0, -2.0 * np.minimum(rho, 2.0**1000) - 2.0 * np.sqrt(rho) * z)
     norm = 1.0 / math.sqrt(math.pi)
     mean_g = np.vecdot(g, w) * norm
     mean_g2 = np.vecdot(g * g, w) * norm
@@ -188,26 +181,27 @@ def biawgn_dispersion(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
 
 def _rate(n: int, backoff: float, snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """normal_approx_rate with the backoff Qinv(eps) already computed."""
-    return max(_unclamped_rate(n, backoff, *_info_density_stats([snr.linear], nodes)[0]), 0.0)
-
-
-def _unclamped_rate(n: int, backoff: float, c_nats: float, v: float) -> float:
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    return (c_nats - math.sqrt(v / n) * backoff) * LOG2E
+    return max(float(_unclamped_rate(n, backoff, *_info_density_stats([snr.linear], nodes)[0])), 0.0)
 
 
-def _noise_bound(n: int, backoff: float, c_nats: float, v: float) -> float:
+def _unclamped_rate(n, backoff: float, c_nats, v):
+    """The rate in bits before its clamp at 0, elementwise over arrays of
+    n, capacity and dispersion in nats."""
+    return (c_nats - np.sqrt(v / n) * backoff) * LOG2E
+
+
+def _noise_bound(n, backoff: float, c_nats, v):
     """Bound in bits on how far _unclamped_rate(n, backoff, c_nats, v) lies
-    from the rate that exact arithmetic gives at the same SNR (README)."""
+    from the rate that exact arithmetic gives at the same SNR (README),
+    elementwise like _unclamped_rate."""
     mean_g = math.log(2.0) - c_nats
     err_v = _NOISE_ULPS * (2.0 * v + 4.0 * mean_g * mean_g + 4.0 * mean_g)
-    if v <= 2.0 * err_v:
-        err_sqrt_v = math.sqrt(err_v)
-    else:
-        err_sqrt_v = err_v / math.sqrt(v - err_v)
-    err_sqrt_v += _NOISE_ULPS * math.sqrt(v)
-    return LOG2E * (_NOISE_ULPS * (1.0 + mean_g) + abs(backoff) / math.sqrt(n) * err_sqrt_v)
+    small = v <= 2.0 * err_v
+    err_sqrt_v = np.where(small, np.sqrt(err_v), err_v / np.sqrt(np.where(small, 1.0, v - err_v)))
+    err_sqrt_v = err_sqrt_v + _NOISE_ULPS * np.sqrt(v)
+    return LOG2E * (_NOISE_ULPS * (1.0 + mean_g) + abs(backoff) / np.sqrt(n) * err_sqrt_v)
 
 
 def normal_approx_rate(
@@ -224,41 +218,11 @@ def normal_approx_rate(
     return _rate(n, q_inv(validate_epsilon(epsilon)), snr, nodes)
 
 
-def lockstep(searches: Iterable) -> list:
-    """Run searches side by side and return what each one returns, in order.
-
-    A search is a generator that yields linear SNRs and is sent the
-    (capacity, dispersion) in nats of each, at QUADRATURE_NODES nodes.
-    Each round sends every live search its stats and evaluates the points
-    they yield next in one _info_density_stats call.  At most
-    _LOCKSTEP_WIDTH searches are live: as some stop, the next ones start.
-    If searches raise, the first failing one's exception in sequence order
-    is raised once all have stopped: the exception a loop over them would
-    raise first.
-    """
-    pending = enumerate(searches)
-    outcomes, failed = {}, []
-    live = []  # (index, search, what to send it next)
-    while True:
-        live += ((i, search, None) for i, search in itertools.islice(pending, _LOCKSTEP_WIDTH - len(live)))
-        if not live:
-            break
-        running, points = [], []
-        for i, search, sent in live:
-            try:
-                points.append(search.send(sent))
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except Exception as exc:  # raised below if no earlier search fails
-                outcomes[i] = exc
-                failed.append(i)
-            else:
-                running.append((i, search))
-        stats = _info_density_stats(points, QUADRATURE_NODES) if points else []
-        live = [(i, search, sent) for (i, search), sent in zip(running, stats)]
-    if failed:
-        raise outcomes[min(failed)]
-    return [outcomes[i] for i in range(len(outcomes))]
+def _blocks(rows: int):
+    """Slices of at most _ROWS rows that cover range(rows): a search runs
+    one block at a time, so a round's arrays stay bounded however long the
+    sweep."""
+    return (slice(start, start + _ROWS) for start in range(0, rows, _ROWS))
 
 
 def required_snr(
@@ -281,107 +245,144 @@ def required_snr(
     every other midpoint keeps its decision.
 
     n and rate may also be equal-length sequences: then it returns the
-    list of each pair's Snr, from replays run in lockstep, and raises what
-    the first failing pair would raise on its own.
+    list of each pair's Snr, and raises what the first failing pair would
+    raise on its own.  Every pair of a block runs each phase of the replay
+    together, one quadrature call per round.
     """
-    if np.ndim(n) == 0 and np.ndim(rate) == 0:
-        return lockstep([_replay(n, epsilon, rate)])[0]
-    if np.ndim(n) != 1 or np.ndim(rate) != 1 or len(n) != len(rate):
+    scalar = np.ndim(n) == 0 and np.ndim(rate) == 0
+    if scalar:
+        n, rate = [n], [rate]
+    elif np.ndim(n) != 1 or np.ndim(rate) != 1 or len(n) != len(rate):
         raise ValueError("n and rate must be two numbers or two sequences of equal length")
-    return lockstep(_replay(m, epsilon, r) for m, r in zip(n, rate))
+    ns, rates, failure = list(n), list(rate), None
+    for i, (m, r) in enumerate(zip(ns, rates)):
+        try:
+            rates[i] = validate_rate(r)
+            validate_epsilon(epsilon)
+            if rates[i] >= 1.0:
+                raise InfeasibleError("rate 1 is unreachable at finite SNR")
+            if m < 1:
+                raise ValueError(f"blocklength must be >= 1, got {m}")
+        except ValueError as exc:  # raised once the pairs before it are known not to fail
+            ns, rates, failure = ns[:i], rates[:i], exc
+            break
+    snrs = []
+    for block in _blocks(len(ns)):
+        snrs += map(Snr, _required_dbs(ns[block], q_inv(epsilon), rates[block]))
+    if failure is not None:
+        raise failure
+    return snrs[0] if scalar else snrs
 
 
-def _replay(n: int, epsilon: float, rate: float):
-    """required_snr of one pair, as a lockstep search."""
-    rate = validate_rate(rate)
-    epsilon = validate_epsilon(epsilon)
-    if rate >= 1.0:
-        raise InfeasibleError("rate 1 is unreachable at finite SNR")
-    backoff = q_inv(epsilon)
-    if n < 1:
-        raise ValueError(f"blocklength must be >= 1, got {n}")
+def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> list[float]:
+    """The bisection's float in dB for each valid (n, rate) row, as arrays:
+    each phase of the replay runs on all rows, the rows it is done with
+    masked out (README)."""
+    n, rate = np.array(ns, dtype=float), np.array(rates)
+    rows = len(rates)
+    unknown = np.full((2, rows), np.nan)
 
-    # Decisions compare the rate before its clamp at 0 with the target,
-    # which is the same comparison: the target is positive.
-    def evaluate(db: float):
-        """(rate, (capacity, dispersion) in nats) at db."""
-        stats = yield _linear(db)
+    def evaluate(db, mask):
+        """(rate, (capacity, dispersion) in nats) at db for the rows in mask,
+        nan elsewhere.  The rate is before its clamp at 0, which decides
+        alike: the target is positive."""
+        stats = unknown.copy()
+        rhos = list(map(_linear, db[mask].tolist()))
+        stats[:, mask] = np.array(_info_density_stats(rhos, QUADRATURE_NODES)).T
         return _unclamped_rate(n, backoff, *stats), stats
 
     # The rate at the upper start is exactly 1 for every n and epsilon (V
     # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.
-    lo, hi = _START_DB
-    y_hi = (yield from evaluate(hi))[0]
-    while True:
-        y_lo, lo_stats = yield from evaluate(lo)
-        if y_lo < rate:
-            break
-        lo -= _STEP_DB
-        if lo < _FLOOR_DB:
-            raise ValueError(f"rate {rate} is reached at every SNR down to {_FLOOR_DB:g} dB")
+    everywhere = np.ones(rows, dtype=bool)
+    hi = np.full(rows, _START_DB[1])
+    y_hi = evaluate(hi, everywhere)[0]
+    lo, y_lo, tau_lo = np.full(rows, _START_DB[0]), np.empty(rows), np.empty(rows)
+    stepping = everywhere
+    while np.count_nonzero(stepping):
+        y, stats = evaluate(lo, stepping)
+        met = y < rate
+        np.copyto(y_lo, y, where=met)
+        np.copyto(tau_lo, _noise_bound(n, backoff, *stats), where=met)
+        stepping = stepping & ~met
+        np.copyto(lo, lo - _STEP_DB, where=stepping)
+        if np.count_nonzero(stepping & (lo < _FLOOR_DB)):  # every row gets there in the same round
+            raise ValueError(f"rate {rates[int(np.argmax(stepping))]} is reached at every SNR "
+                             f"down to {_FLOOR_DB:g} dB")
 
     # Every bisection midpoint m <= below has a rate below the target, and
     # every midpoint m >= above has a rate at or above it.  A point becomes
     # an end only when its rate clears the target by four noise bounds.
-    below, tau_below, above = lo, _noise_bound(n, backoff, *lo_stats), hi
+    below, tau_below, above = lo.copy(), tau_lo.copy(), hi.copy()
 
-    def certify(db: float, y: float, tau: float) -> bool:
-        nonlocal below, tau_below, above
-        if y < rate:
-            if y + 4.0 * tau_below < rate:
-                below, tau_below = db, tau
-                return True
-        elif min(y, y_hi) - 4.0 * tau >= rate:
-            above = db
-            return True
-        return False
+    def certify(db, y, tau, mask):
+        """Move the ends of the rows in mask to db where y clears the
+        target; which rows moved one."""
+        low = y < rate
+        to_below = mask & low & (y + 4.0 * tau_below < rate)
+        to_above = mask & ~low & (np.minimum(y, y_hi) - 4.0 * tau >= rate)
+        np.copyto(below, db, where=to_below)
+        np.copyto(tau_below, tau, where=to_below)
+        np.copyto(above, db, where=to_above)
+        return to_below | to_above
 
     # The first steps bisect (lo, hi): they are the bisection's own first
-    # midpoints, which the calls of a sweep share through the cache.  Then
-    # Illinois regula falsi in dB on rate - target, with a bisection step
-    # whenever the last two steps did not halve the bracket, until a point
-    # lands in the noise band around the root.
-    a, ya, b, yb = lo, y_lo - rate, hi, y_hi - rate
-    x, tau, side, widths = lo, tau_below, 0, (math.inf, math.inf)
+    # midpoints, which the rows of a block share.  Then Illinois regula
+    # falsi in dB on rate - target, with a bisection step whenever the last
+    # two steps did not halve the bracket, until a point lands in the noise
+    # band around the root.
+    a, ya, b, yb = lo.copy(), y_lo - rate, hi.copy(), y_hi - rate
+    x, tau, live = lo.copy(), tau_lo.copy(), everywhere
+    was_low = was_high = ~everywhere  # the side of each row's last step
+    width = last_width = np.full(rows, np.inf)  # read on live rows only
     for step in itertools.count():
-        if step < _SHARED_STEPS or b - a > 0.5 * widths[0]:
-            x = 0.5 * (a + b)
-        else:
-            x = (a * yb - b * ya) / (yb - ya)
-        widths = (widths[1], b - a)
-        if not a < x < b:
+        nxt = 0.5 * (a + b)
+        if step >= _SHARED_STEPS:
+            np.copyto(nxt, (a * yb - b * ya) / (yb - ya), where=b - a <= 0.5 * last_width)
+        last_width, width = width, b - a
+        np.copyto(x, nxt, where=live)
+        live = live & (a < x) & (x < b)
+        if not np.count_nonzero(live):
             break
-        y, stats = yield from evaluate(x)
-        tau = _noise_bound(n, backoff, *stats)
-        in_band = not certify(x, y, tau)
-        if y < rate:
-            a, ya = x, y - rate
-            yb = yb * 0.5 if side < 0 else yb
-            side = -1
-        else:
-            b, yb = x, y - rate
-            ya = ya * 0.5 if side > 0 else ya
-            side = 1
-        if in_band:
-            break
+        y, stats = evaluate(x, live)
+        np.copyto(tau, _noise_bound(n, backoff, *stats), where=live)
+        in_band = live & ~certify(x, y, tau, live)
+        low, high = live & (y < rate), live & (y >= rate)
+        np.copyto(ya, ya * 0.5, where=high & was_high)
+        np.copyto(yb, yb * 0.5, where=low & was_low)
+        np.copyto(ya, y - rate, where=low)
+        np.copyto(yb, y - rate, where=high)
+        np.copyto(a, x, where=low)
+        np.copyto(b, x, where=high)
+        was_low, was_high = low, high
+        live = live & ~in_band
     # From there, step out on each side, just past the band and then four
     # times as far each time, until that side has an end.
-    first = max(5.0 * tau * (b - a) / (yb - ya), 4.0 * math.ulp(x))
+    first = np.maximum(5.0 * tau * (b - a) / (yb - ya), 4.0 * np.spacing(np.abs(x)))
     for direction in (-1.0, 1.0):
-        step = first
-        while below < x + direction * step < above:
+        step, live = first, everywhere
+        while True:
             p = x + direction * step
-            y, stats = yield from evaluate(p)
-            if certify(p, y, _noise_bound(n, backoff, *stats)) and (y < rate) == (direction < 0):
+            live = live & (below < p) & (p < above)
+            if not np.count_nonzero(live):
                 break
-            step *= 4.0
+            y, stats = evaluate(p, live)
+            ended = certify(p, y, _noise_bound(n, backoff, *stats), live) & ((y < rate) == (direction < 0))
+            live = live & ~ended
+            step = step * 4.0
 
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # every later step is the same no-op: rate(hi) >= target > rate(lo)
-        if mid <= below or (mid < above and (yield from evaluate(mid))[0] < rate):
-            lo = mid
-        else:
-            hi = mid
-    return Snr(hi)
+        # once a midpoint equals an end, lo and hi stop moving and every
+        # later step is the same no-op: rate(hi) >= target > rate(lo)
+        live = (lo < mid) & (mid < hi)
+        if not np.count_nonzero(live):
+            break
+        to_lo, to_hi = mid <= below, mid >= above  # no-ops on the rows that stopped
+        inside = live & ~(to_lo | to_hi)
+        if np.count_nonzero(inside):
+            low = evaluate(mid, inside)[0] < rate
+            to_lo |= inside & low
+            to_hi |= inside & ~low
+        np.copyto(lo, mid, where=to_lo)
+        np.copyto(hi, mid, where=to_hi)
+    return hi.tolist()

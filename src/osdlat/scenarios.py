@@ -17,10 +17,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from osdlat.fblmath import (
+    QUADRATURE_NODES,
     Snr,
+    _blocks,
+    _info_density_stats,
     _unclamped_rate,
-    lockstep,
     q_inv,
     required_snr,
     validate_epsilon,
@@ -165,38 +169,50 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _max_k_feasible(n: int, k: int, cfg: ScenarioConfig, backoff: float):
-    """Whether k bits fit at blocklength n, as a lockstep search; backoff
-    is q_inv(cfg.epsilon)."""
-    rate = k / n
-    if rate >= 1.0:
-        return False
-    _, delta, _ = _deadline_cost(n, k, cfg)
-    snr_left = cfg.power_cap_db - delta
-    try:
-        snr = Snr(snr_left)
-    except ValueError:
-        # -inf or past either end of the linear scale: below it no rate
-        # fits, above it every rate below 1 does
-        return snr_left > 0
-    # the rate before its clamp at 0 decides alike: the target is positive
-    stats = yield snr.linear
-    return _unclamped_rate(n, backoff, *stats) >= rate
+def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float):
+    """Whether ks[i] bits fit at blocklength ns[i], for the rows in mask
+    (False elsewhere), with one quadrature call; backoff is
+    q_inv(cfg.epsilon)."""
+    fits = np.zeros(len(ns), dtype=bool)
+    rows, rhos, rates = [], [], []
+    for i in np.flatnonzero(mask).tolist():
+        n, k = ns[i], ks[i]
+        rate = k / n
+        if rate >= 1.0:
+            continue
+        _, delta, _ = _deadline_cost(n, k, cfg)
+        snr_left = cfg.power_cap_db - delta
+        try:
+            rhos.append(Snr(snr_left).linear)
+        except ValueError:
+            # -inf or past either end of the linear scale: below it no rate
+            # fits, above it every rate below 1 does
+            fits[i] = snr_left > 0
+            continue
+        rows.append(i)
+        rates.append(rate)
+    if rows:
+        c, v = np.array(_info_density_stats(rhos, QUADRATURE_NODES)).T
+        # the rate before its clamp at 0 decides alike: the target is positive
+        fits[rows] = _unclamped_rate(np.array([ns[i] for i in rows], dtype=float), backoff, c, v) >= rates
+    return fits
 
 
-def _max_k_search(n: int, cfg: ScenarioConfig, backoff: float):
-    """The largest k that fits at blocklength n, or None, as a lockstep
-    search: a binary search on k (feasibility is monotone in k)."""
-    if _decode_window(n, cfg) < 0 or not (yield from _max_k_feasible(n, 1, cfg, backoff)):
-        return None
-    lo, hi = 1, n
-    while lo < hi:
+def _max_ks(ns: Sequence[int], cfg: ScenarioConfig, backoff: float) -> list[int | None]:
+    """The largest k that fits at each blocklength of ns, or None: binary
+    searches on k (feasibility is monotone in k), all rows at once."""
+    ns = list(ns)
+    lo, hi = np.ones(len(ns), dtype=int), np.array(ns)
+    live = np.array([_decode_window(n, cfg) >= 0 for n in ns], dtype=bool)
+    found = live = _fits(ns, lo.tolist(), live, cfg, backoff)
+    while True:
+        live = live & (lo < hi)
+        if not np.count_nonzero(live):
+            break
         mid = (lo + hi + 1) // 2
-        if (yield from _max_k_feasible(n, mid, cfg, backoff)):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        fits = _fits(ns, mid.tolist(), live, cfg, backoff)
+        lo, hi = np.where(fits, mid, lo), np.where(live & ~fits, mid - 1, hi)
+    return [k if ok else None for k, ok in zip(lo.tolist(), found.tolist())]
 
 
 def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
@@ -205,13 +221,13 @@ def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
     For each blocklength in ns, binary-searches the largest k whose
     required SNR plus the law's penalty for the deadline-allowed
     complexity stays within power_cap_db (feasibility is monotone in k).
-    The searches of all blocklengths run in lockstep.  The optimum is the
-    blocklength maximizing k.
+    The searches of a block of blocklengths run together, one quadrature
+    call per round.  The optimum is the blocklength maximizing k.
     """
     if cfg.power_cap_db is None or math.isinf(cfg.power_cap_db):
         raise ValueError("maximize_k needs a finite power_cap_db")
     backoff = q_inv(cfg.epsilon)
-    ks = lockstep(_max_k_search(n, cfg, backoff) for n in ns)
+    ks = [k for block in _blocks(len(ns)) for k in _max_ks(ns[block], cfg, backoff)]
     rows = iter(_deadline_points([(n, k, k / n) for n, k in zip(ns, ks) if k is not None], cfg))
     sweep = [SweepPoint(n=n, feasible=False) if k is None else next(rows) for n, k in zip(ns, ks)]
     optimum = max((pt for pt in sweep if pt.feasible), key=lambda pt: pt.k, default=None)

@@ -168,24 +168,9 @@ class TestBatchedQuadrature:
             got = fblmath._quadrature(rhos, QUADRATURE_NODES)
         assert got == [fbl_reference.info_density_stats(rho, QUADRATURE_NODES) for rho in rhos]
 
-    def test_cache_counts_quadratures(self):
-        stats = fblmath._info_density_stats
-        stats.cache_clear()
-        a, b = Snr(1.0).linear, Snr(2.0).linear
-        # a repeat within a call is computed once and then hit, as in a loop of calls
-        first = stats([a, b, a], QUADRATURE_NODES)
-        assert first[0] == first[2]
-        assert stats([b, a], QUADRATURE_NODES) == first[1:]
-        info = stats.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
-        assert info.maxsize == 200_000
-        assert stats([], QUADRATURE_NODES) == []
-        stats.cache_clear()
-        assert stats.cache_info()[:2] == (0, 0)
-
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The SNRs of each numpy pass _info_density_stats makes, from a cold cache."""
+        """The SNRs of each numpy pass _info_density_stats makes."""
         seen = []
         quadrature = fblmath._quadrature
 
@@ -198,15 +183,19 @@ class TestBatchedQuadrature:
         yield seen
         fblmath._info_density_stats.cache_clear()
 
-    def test_oldest_is_evicted(self, monkeypatch, passes):
+    def test_cache_counts_quadratures(self, passes):
         stats = fblmath._info_density_stats
-        monkeypatch.setattr(fblmath, "_STATS_CACHE_SIZE", 2)
-        a, b, c = (Snr(db).linear for db in (1.0, 2.0, 3.0))
+        a, b = Snr(1.0).linear, Snr(2.0).linear
+        # a repeat within a call is computed once and then hit
         first = stats([a, b, a], QUADRATURE_NODES)
-        stats([c], QUADRATURE_NODES)  # evicts a, the oldest
-        assert stats([a, b], QUADRATURE_NODES) == first[:2]  # b is a hit, and is evicted after it
-        assert passes == [[a, b], [c], [a]]
-        assert stats.cache_info() == fblmath.CacheInfo(hits=2, misses=4, maxsize=2, currsize=2)
+        assert first[0] == first[2]
+        # nothing is kept between calls
+        assert stats([b, a], QUADRATURE_NODES) == first[1:]
+        assert passes == [[a, b], [b, a]]
+        assert stats.cache_info() == fblmath.CacheInfo(hits=1, misses=4)
+        assert stats([], QUADRATURE_NODES) == []
+        stats.cache_clear()
+        assert stats.cache_info() == (0, 0)
 
 
 class TestNormalApproxRate:
@@ -348,7 +337,7 @@ class TestRequiredSnrReplay:
     @example(pairs=[(500, 0.5), (1, 1e-12), (128, 1.0)], epsilon=0.9)
     @example(pairs=[(64, 0.5), (64, 0.5), (2, 0.5)], epsilon=1e-3)
     def test_sequences_match_each_pair(self, pairs, epsilon):
-        """The lockstep form returns each pair's scalar result, or raises what
+        """The sequence form returns each pair's scalar result, or raises what
         the first failing pair raises on its own."""
         ns, rates = [n for n, _ in pairs], [rate for _, rate in pairs]
         alone = [_outcome(required_snr, n, epsilon, rate) for n, rate in pairs]
@@ -372,9 +361,9 @@ class TestRequiredSnrReplay:
             required_snr([500, 128, 1], 0.9, [0.5, 1.0, 1e-12])
 
     def test_width_bounds_each_round(self, monkeypatch):
-        # searches past the width wait for live ones to stop, so a round's
-        # arrays and frames stay bounded however long the sweep, and each
-        # pair keeps its float and the error order holds
+        # pairs past the block wait for the block before them, so a round's
+        # arrays stay bounded however long the sweep, and each pair keeps
+        # its float and the error order holds
         rounds = []
         stats = fblmath._info_density_stats
 
@@ -383,15 +372,52 @@ class TestRequiredSnrReplay:
             return stats(rhos, nodes)
 
         monkeypatch.setattr(fblmath, "_info_density_stats", counted)
-        monkeypatch.setattr(fblmath, "_LOCKSTEP_WIDTH", 3)
         ns, rates = [2, 64, 128, 500, 1000, 10**5, 7], [0.5, 0.1, 0.9, 0.5, 0.25, 0.99, 3 / 7]
         want = [required_snr(n, 1e-3, rate) for n, rate in zip(ns, rates)]
-        rounds.clear()
-        assert required_snr(ns, 1e-3, rates) == want
-        assert max(rounds) == 3
-        monkeypatch.setattr(fblmath, "_LOCKSTEP_WIDTH", 1)
-        with pytest.raises(ValueError, match="every SNR down to -400 dB"):
-            required_snr([500, 1, 128], 0.9, [0.5, 1e-12, 1.0])
+        for rows in (3, 1):
+            monkeypatch.setattr(fblmath, "_ROWS", rows)
+            rounds.clear()
+            assert required_snr(ns, 1e-3, rates) == want
+            assert max(rounds) == rows
+            with pytest.raises(ValueError, match="every SNR down to -400 dB"):
+                required_snr([500, 1, 128], 0.9, [0.5, 1e-12, 1.0])
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-3, 0.9])
+    def test_long_sequences_in_small_blocks(self, monkeypatch, epsilon):
+        """300 pairs in blocks of 7 give each pair's own float and the
+        oracle's, or raise the first failing pair's error."""
+        rng = np.random.default_rng(round(-math.log10(epsilon)))
+        ns = [int(n) for n in np.round(10.0 ** rng.uniform(0.0, 6.0, 300))]
+        rates = [float(r) for r in np.concatenate([
+            10.0 ** rng.uniform(-12.0, -1.0, 100),
+            1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 100),
+            rng.uniform(0.01, 0.99, 100),
+        ])]
+        rng.shuffle(rates)
+        alone = {pair: _outcome(required_snr, pair[0], epsilon, pair[1]) for pair in zip(ns, rates)}
+        monkeypatch.setattr(fblmath, "_ROWS", 7)
+
+        def together(pairs):
+            try:
+                return [snr.db for snr in required_snr([n for n, _ in pairs], epsilon,
+                                                       [rate for _, rate in pairs])]
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+
+        def first_failure(pairs):
+            return next((alone[pair] for pair in pairs if isinstance(alone[pair], tuple)), None)
+
+        pairs = list(zip(ns, rates))
+        assert together(pairs) == (first_failure(pairs) or [alone[pair] for pair in pairs])
+        kept = [pair for pair in pairs if not isinstance(alone[pair], tuple)]
+        assert together(kept) == [fbl_reference.required_snr(n, epsilon, rate).db for n, rate in kept]
+        # a pair that fails at once, after an earlier one that fails rounds
+        # later (at the -400 dB floor, when eps > 1/2) or at once
+        early, late = ((1, 1e-12) if epsilon > 0.5 else (3, 1.5)), (64, 1.0)
+        for pair in (early, late):
+            alone[pair] = _outcome(required_snr, pair[0], epsilon, pair[1])
+        failing = kept[:150] + [early] + kept[150:280] + [late]
+        assert together(failing) == first_failure(failing) == alone[early]
 
     def test_sequence_shapes(self):
         assert required_snr([], 1e-3, []) == []

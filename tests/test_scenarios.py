@@ -1,15 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osdlat import fblmath, scenarios
-from osdlat.fblmath import Snr, lockstep, normal_approx_rate, q_inv, required_snr
+from osdlat.fblmath import Snr, normal_approx_rate, q_inv, required_snr
 from osdlat.oscomplexity import LatencyBudget
 from osdlat.scenarios import (
     ScenarioConfig,
-    _max_k_feasible,
     max_rate_curve,
     maximize_k,
     minimize_latency,
@@ -100,8 +100,61 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = lockstep([_max_k_feasible(n, k, cfg, q_inv(cfg.epsilon)) for k in range(1, n)])
+            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon))
             assert all(a or not b for a, b in zip(flags, flags[1:]))
+
+    @staticmethod
+    def _plain_max_k(cfg, n):
+        """The largest k that fits at n, or None: a binary search on k, one
+        scalar rate at a time."""
+        def fits(k):
+            rate = k / n
+            if rate >= 1.0:
+                return False
+            snr_left = cfg.power_cap_db - scenarios._deadline_cost(n, k, cfg)[1]
+            try:
+                snr = Snr(snr_left)
+            except ValueError:
+                return snr_left > 0
+            return normal_approx_rate(n, cfg.epsilon, snr) >= rate
+
+        if scenarios._decode_window(n, cfg) < 0 or not fits(1):
+            return None
+        lo, hi = 1, n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+        return lo
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_a_plain_search_per_blocklength(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        dm = float(rng.choice([1e-3, 2e-3]))
+        # the last two blocklengths leave a negative decode window
+        ns = sorted({int(n) for n in rng.integers(2, 1500, 40)} | {round(dm / TS) + 1, round(dm / TS) + 200})
+        cfg = ScenarioConfig(
+            budget=budget(dm, tb=float(rng.choice([0.0, 0.1e-9, 1e-9, 10e-9]))),
+            epsilon=float(10.0 ** rng.uniform(-9.0, -1.0)),
+            power_cap_db=float(rng.uniform(-6.0, 12.0)),
+        )
+        monkeypatch.setattr(fblmath, "_ROWS", 16)
+        ks = [pt.k for pt in maximize_k(cfg, ns).sweep]
+        assert ks == [self._plain_max_k(cfg, n) for n in ns]
+
+    @pytest.mark.parametrize("cap, tb, ns, want", [
+        # k = 1 needs more than the cap
+        (-5.0, TB, [2, 3, 64, 500], [None, None, None, 5]),
+        # the window at n = 900 is one part in 10^12 above the law's floor of
+        # one operation per bit: the penalty puts snr_left far below the
+        # linear scale, as it does at n = 899
+        (60.0, (1e-3 - 900 * TS) / (1.0 + 1e-12), [100, 899, 900, 1001], [2, None, None, None]),
+        # past the top of the linear scale every rate below 1 fits
+        (1e308, TB, [2, 60, 1001], [1, 59, None]),
+    ])
+    def test_plain_search_edge_cases(self, cap, tb, ns, want):
+        cfg = ScenarioConfig(budget=budget(1e-3, tb=tb), epsilon=1e-3, power_cap_db=cap)
+        ks = [pt.k for pt in maximize_k(cfg, ns).sweep]
+        assert ks == [self._plain_max_k(cfg, n) for n in ns] == want
 
     def test_optimum_satisfies_constraints_independently(self):
         cfg = ScenarioConfig(

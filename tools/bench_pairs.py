@@ -20,6 +20,10 @@ gates (``pytest -m slow``) and the benchmark's own tests
 on the change the gates' three simulated
 sweeps with 1 and with 2 pool workers, next to ``mc_sweep_parallel``
 against ``mc_sweep``: the data that decides whether the process pool pays.
+An analytic-layers block times, on both sides and in fresh processes,
+the median cold scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold
+128-row ``minimize_latency`` sweep, and the wall time and peak RSS of the
+cold max-k command ``MAX_K_ARGV``.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -65,6 +69,47 @@ start = time.perf_counter()
 _, thresholds = gate._simulated_thresholds()
 print(json.dumps({"seconds": time.perf_counter() - start,
                   "thresholds_db": {s: t.snr_db for s, t in thresholds.items()}}))
+"""
+
+# required_snr pairs (n, epsilon, rate) timed one cold call at a time, and the
+# sweep the analytic-layers block runs as a command of its own
+SCALAR_PAIRS = ((64, 1e-2, 36 / 64), (64, 1e-3, 0.5), (128, 1e-3, 0.5), (128, 1e-5, 0.8),
+                (500, 1e-3, 0.803), (1000, 1e-9, 0.25), (32, 1e-1, 0.9), (2000, 1e-3, 0.1))
+MAX_K_ARGV = ("scenario", "--which", "max-k", "--dm", "1", "--pm-db", "5", "--eps", "1e-3",
+              "--tb", "0", "--n-range", "2:99000")
+ANALYTIC_SNIPPET = """
+import json, statistics, sys, time
+from osdlat import fblmath, scenarios
+from osdlat.oscomplexity import LatencyBudget
+
+pairs, repeats = json.loads(sys.argv[1]), 15
+stats = fblmath._info_density_stats
+scalar = []
+for _ in range(repeats):
+    for pair in pairs:
+        stats.cache_clear()
+        start = time.perf_counter()
+        fblmath.required_snr(*pair)
+        scalar.append(time.perf_counter() - start)
+cfg = scenarios.ScenarioConfig(budget=LatencyBudget(1e-3, 1e-6, 1e-9), epsilon=1e-3, power_cap_db=8.0)
+sweep = []
+for _ in range(repeats):
+    stats.cache_clear()
+    start = time.perf_counter()
+    scenarios.minimize_latency(cfg, 64, range(64, 192))
+    sweep.append(time.perf_counter() - start)
+print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scalar),
+                  "min_latency_128_rows_median_ms": 1e3 * statistics.median(sweep),
+                  "repeats": repeats}))
+"""
+PEAK_RSS_SNIPPET = """
+import contextlib, json, os, resource, sys
+from osdlat import cli
+
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"returncode": code,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
 
@@ -145,6 +190,19 @@ def suites(side: Path) -> dict:
         "slow_gates": timed(side, pytest + ["-m", "slow", "tests/test_acceptance.py"]),
         "perfbench": timed(side, pytest + ["perfbench/tests"]),
     }
+
+
+def analytic_layers(side: Path) -> dict:
+    """The scalar call, the 128-row sweep and the cold max-k command, in fresh processes."""
+    proc = subprocess.run([sys.executable, "-c", ANALYTIC_SNIPPET, json.dumps(SCALAR_PAIRS)], cwd=side,
+                          env=side_env(side), check=True, capture_output=True, text=True)
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SNIPPET, *MAX_K_ARGV], cwd=side,
+                          env=side_env(side), check=True, capture_output=True, text=True)
+    record["max_k_99k_rows"] = {"argv": list(MAX_K_ARGV), "wall_s": time.perf_counter() - start,
+                                **json.loads(proc.stdout.strip().splitlines()[-1])}
+    return record
 
 
 def gate_sweeps(side: Path, workers: int) -> dict:
@@ -234,6 +292,7 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {"metrics": compare(pairs), "pairs": pairs}
 
         record["cli"] = cli_runs(sides)
+        record["analytic_layers"] = {name: analytic_layers(side) for name, side in sides.items()}
         record["suites"] = {name: suites(side) for name, side in sides.items()}
         record["pool"] = {
             "norm_wall_s_median": {

@@ -43,7 +43,12 @@ MAX_RANGE_ROWS = 100_000
 
 
 def _workers() -> int:
-    """Process-pool size from OSDLAT_WORKERS, clamped to 1..os.cpu_count()."""
+    """Requested Monte Carlo worker count from OSDLAT_WORKERS, clamped to 1..os.cpu_count().
+
+    The sidecar's workers echoes it.  codecsim starts a pool of at most one
+    process per batch of a grid point, so --max-trials <= BATCH_SIZE (512)
+    runs in this process whatever it says (README, OSDLAT_WORKERS).
+    """
     text = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(text)

@@ -441,12 +441,12 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     # reliable basis, the steps without a pivot, last (most reliable) first
     by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
     positions = least_reliable_first[words, by_role]
-    weights = reliability[words, positions]
     patterns, starts = _pattern_positions(code.k, order)
     syndrome = reduced[n]
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
     scored = certified = 0
     if order > 0:
+        weights = reliability[words, positions]
         lowest_rows = rows[: code.d_min].T
         lowest_weights = reliability[words, least_reliable_first[:, : code.d_min]]
         search = np.flatnonzero(~_certified(syndrome, weights[:, :height], lowest_rows, lowest_weights,
@@ -540,8 +540,18 @@ def _simulate_batch(code, order, snr, seed, batch_index, size):
 
 
 @contextlib.contextmanager
-def _process_pool(workers):
-    """A pool of `workers` processes, or None when workers <= 1; shut down on every exit."""
+def _process_pool(workers, max_trials):
+    """A pool for grid points of max_trials trials, or None; shut down on every exit.
+
+    Only one point's batches overlap, so the pool gets min(workers,
+    ceil(max_trials / BATCH_SIZE)) processes.  When that is 1 there is
+    none and the batches run here: a pool would keep one worker busy and
+    the caller idle, and add a fork, a shutdown and a pickled CodeSpec
+    per batch.  In BENCH_22.json one-batch sweeps took 0.171 s on 2
+    workers against 0.115 s on 1; the many-batch gate sweeps took 8.3 s
+    against 12.0 s.
+    """
+    workers = min(workers, -(-max_trials // BATCH_SIZE))
     if workers <= 1:
         yield None
         return
@@ -597,10 +607,11 @@ def estimate_bler(
     min_errors block errors have been seen or max_trials is exhausted
     (checked at batch granularity).  Batch b draws its RNG from
     (seed, b), so the estimate is bit-identical for a given seed and
-    independent of the worker count.  With workers > 1 the batches run on
-    _pool, which required_snr_sim shares across its grid points; called
-    without one, the estimate starts its own pool and shuts it down before
-    it returns.
+    independent of the worker count.  The batches run on _pool, which
+    required_snr_sim shares across its grid points; called without one,
+    the estimate starts its own by the same rule (_process_pool) and shuts
+    it down before it returns.  So with max_trials <= BATCH_SIZE, one
+    batch, they run in this process whatever workers says.
     """
     if min_errors < 1 or max_trials < 1:
         raise ValueError("min_errors and max_trials must be >= 1")
@@ -608,7 +619,7 @@ def estimate_bler(
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
 
     errors, work = 0, OsdStats()
-    pool_scope = _process_pool(workers) if _pool is None else contextlib.nullcontext(_pool)
+    pool_scope = _process_pool(workers, max_trials) if _pool is None else contextlib.nullcontext(_pool)
     with pool_scope as pool, contextlib.closing(
         _batch_results(code, order, snr, seed, max_trials, workers, pool)
     ) as batches:
@@ -661,8 +672,10 @@ def required_snr_sim(
     A grid point is accepted when its estimate is at or below epsilon and
     the 95% upper confidence end does not exceed CI_SLACK * epsilon.  The
     sweep starts 1 dB below the normal-approximation SNR unless start_db
-    is given, and gives up (reached=False) after SWEEP_SPAN_DB.  With
-    workers > 1 one process pool serves every grid point.
+    is given, and gives up (reached=False) after SWEEP_SPAN_DB.  One
+    process pool of min(workers, ceil(max_trials / BATCH_SIZE)) processes
+    serves every grid point; when that is 1, every point runs in this
+    process (_process_pool).
     """
     epsilon = validate_epsilon(epsilon)
     if grid_db <= 0:
@@ -671,7 +684,7 @@ def required_snr_sim(
         start_db = required_snr(code.n, epsilon, code.k / code.n).db - 1.0
     sweep: list[BlerEstimate] = []
     points = int(math.floor(SWEEP_SPAN_DB / grid_db)) + 1
-    with _process_pool(workers) as pool:
+    with _process_pool(workers, max_trials) as pool:
         for j in range(points):
             snr_db = start_db + j * grid_db
             point_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(1)[0])

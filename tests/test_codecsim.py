@@ -387,6 +387,7 @@ class _DeferredPool(Executor):
     """Stands in for ProcessPoolExecutor and records every batch submitted to it."""
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.futures = []
         self.pending_at_shutdown = None
 
@@ -472,6 +473,25 @@ class TestProcessPool:
         est = estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=4096, seed=7, workers=2)
         assert est.trials < 4096
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("max_trials", [codecsim.BATCH_SIZE, 300])
+    def test_one_batch_runs_build_no_pool(self, code84, built_pools, max_trials):
+        # neither the sweep nor any of its grid points builds one
+        sweep = {**self.SWEEP, "max_trials": max_trials}
+        pooled = required_snr_sim(code84, 0, 2e-2, workers=2, **sweep)
+        assert len(pooled.sweep) >= 3
+        est = estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=max_trials, seed=7, workers=2)
+        assert built_pools == []
+        assert multiprocessing.active_children() == []
+        assert pooled == required_snr_sim(code84, 0, 2e-2, workers=1, **sweep)
+        assert est == estimate_bler(code84, 0, Snr(0.0), min_errors=50, max_trials=max_trials, seed=7)
+
+    def test_pool_gets_one_worker_per_batch_at_most(self, code84, deferred_pools):
+        sweep = {**self.SWEEP, "max_trials": 2 * codecsim.BATCH_SIZE}
+        pooled = required_snr_sim(code84, 0, 2e-2, workers=3, **sweep)
+        assert pooled == required_snr_sim(code84, 0, 2e-2, workers=1, **sweep)
+        (pool,) = deferred_pools
+        assert pool.max_workers == 2
 
 # (64,57) has n - k = 7 parity bits, (128,57) 71, two words per column
 KERNEL_CODES = ((8, 4), (16, 7), (32, 16), (64, 36), (128, 64), (64, 57), (128, 57))

@@ -17,9 +17,11 @@ start-up and imports count there, as they do at the command line.  And it
 times, on both sides, the Tier-1 suite, the slow acceptance
 gates (``pytest -m slow``) and the benchmark's own tests
 (``pytest perfbench/tests``, whose last line shows any failed check), and
-on the change the gates' three simulated
-sweeps with 1 and with 2 pool workers, next to ``mc_sweep_parallel``
-against ``mc_sweep``: the data that decides whether the process pool pays.
+on the change the gates' three simulated sweeps and ``POOL_SWEEP``, each
+with 1 and with 2 pool workers: the data that decides whether the process
+pool pays.  A run gets a pool only when its grid points have two batches
+or more, so one-batch sweeps such as ``mc_sweep_parallel``'s run in-process,
+and its median wall time next to ``mc_sweep``'s shows only that.
 An analytic-layers block times, on both sides and in fresh processes,
 the median cold scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold
 128-row ``minimize_latency`` sweep, and the wall time and peak RSS of the
@@ -60,6 +62,9 @@ CLI_COMMANDS = {
                      "--grid-db", "0.5", "--max-trials", "512", "--seed", "1"),
 }
 CLI_SAMPLES = 5
+# The smallest simulate --eps sweep that starts a pool: two batches per grid point.
+POOL_SWEEP = ("simulate", "--code", "64x36", "--order", "1", "--eps", "1e-2", "--grid-db", "0.5",
+              "--max-trials", "1024", "--seed", "1")
 GATE_SNIPPET = """
 import json, sys, time
 sys.path[:0] = ["src", "tests"]
@@ -137,9 +142,11 @@ def src_blobs(side: Path) -> dict:
     return {str(p.relative_to(side)): sha for p, sha in zip(paths, shas)}
 
 
-def side_env(side: Path) -> dict:
+def side_env(side: Path, workers: int | None = None) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("OSDLAT_WORKERS", "PYTHONPATH")}
     env["PYTHONPATH"] = str(side / "src")
+    if workers is not None:
+        env["OSDLAT_WORKERS"] = str(workers)
     return env
 
 
@@ -159,9 +166,9 @@ def perfbench(side: Path, workload: str, seed: int) -> dict:
     }
 
 
-def timed(side: Path, argv: list[str]) -> dict:
+def timed(side: Path, argv: list[str], workers: int | None = None) -> dict:
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=side, env=side_env(side), capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=side, env=side_env(side, workers), capture_output=True, text=True)
     seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"seconds": seconds, "returncode": proc.returncode, "last_line": lines[-1] if lines else ""}
@@ -209,6 +216,22 @@ def gate_sweeps(side: Path, workers: int) -> dict:
     proc = subprocess.run([sys.executable, "-c", GATE_SNIPPET, str(workers)], cwd=side,
                           env=side_env(side), check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pool_sweep(side: Path) -> dict:
+    """POOL_SWEEP in fresh processes with 1 and with 2 workers, alternating, CLI_SAMPLES each."""
+    runs = {1: [], 2: []}
+    for i in range(CLI_SAMPLES):
+        for workers in ((1, 2) if i % 2 == 0 else (2, 1)):
+            run = timed(side, [sys.executable, "-m", "osdlat", *POOL_SWEEP], workers)
+            if run["returncode"] != 0:
+                raise RuntimeError(f"osdlat {' '.join(POOL_SWEEP)} with {workers} workers exited {run['returncode']}")
+            runs[workers].append(run)
+    return {"argv": list(POOL_SWEEP),
+            "same_last_line": len({run["last_line"] for side_runs in runs.values() for run in side_runs}) == 1,
+            **{f"workers_{w}": {"median_s": statistics.median(r["seconds"] for r in side_runs),
+                                "samples_s": [r["seconds"] for r in side_runs]}
+               for w, side_runs in runs.items()}}
 
 
 def summary(values: list[float]) -> dict:
@@ -301,6 +324,7 @@ def main(argv=None) -> int:
                 for name in sides
             },
             "change_gate_sweeps": {f"workers_{w}": gate_sweeps(ROOT, w) for w in (1, 2)},
+            "change_two_batch_sweep": pool_sweep(ROOT),
         }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0

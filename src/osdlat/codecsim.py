@@ -252,6 +252,9 @@ _SCORE_CANDIDATES = 8192
 # Relative margin on each side of the ML certificate's comparison: covers
 # the rounding of float sums of up to 2^21 non-negative terms (README).
 _CERTIFICATE_MARGIN = 2.0**-30
+# Columns past n-k that an order-0 decode reduces before it falls back to
+# all n: 16 needed no fallback in 84 batches where 12 needed 5 (README).
+_ORDER0_MARGIN = 16
 
 
 @functools.cache
@@ -406,23 +409,29 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
 
     y holds one received word (n,) or a batch of them (B, n); the
     estimates have the same leading shape.  Each word ranks its positions
-    by |y|, most reliable first (stable sort), and takes the first k
-    independent ones as its basis (Fossorier & Lin, IEEE Trans. IT 41(5),
-    1995).  Its hard decisions on the basis, re-encoded under every error
-    pattern of weight <= order, are the candidates.  A candidate scores
-    the sum of |y_i| over the positions where it differs from the hard
-    decisions: for BPSK its squared distance to y is
-    sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking is the same.  The
-    first minimum in enumeration order wins.
+    by |y|, most reliable first, equal |y| as a stable sort of -|y| orders
+    them, and takes the first k independent ones as its basis (Fossorier
+    & Lin, IEEE Trans. IT 41(5), 1995).  Its hard decisions on the basis,
+    re-encoded under every error pattern of weight <= order, are the
+    candidates.  A candidate scores the sum of |y_i| over the positions
+    where it differs from the hard decisions: for BPSK its squared
+    distance to y is sum(y^2) + n - 2 sum|y| + 4 * score, so the ranking
+    is the same.  The first minimum in enumeration order wins.  An
+    unstable sort ranks every word, and only the words whose sorted |y|
+    is not strictly increasing (ties, zeros of either sign, NaN) sort
+    again stably.
 
     In syndrome form, H is reduced along the exact reverse of the ranking:
     its first n-k independent columns, the least reliable basis, are by
     matroid duality the complement of the most reliable one, and every
     other column and the syndrome of the hard decisions hold coordinates
-    on them (_search).  From order 1, a word whose order-0 candidate is
-    proven ML (_certified) keeps it and skips the search; the others are
-    searched _CHUNK_WORDS words at a time.  _messages=False returns None
-    for the messages and recovers none.
+    on them (_search).  Order 0 reads only the pivots and the syndrome, so
+    it reduces the first n-k + _ORDER0_MARGIN columns of each order, and
+    every column only when some word's prefix lacks rank.  From order 1,
+    a word whose order-0 candidate is proven ML (_certified) keeps it and
+    skips the search; the others are searched _CHUNK_WORDS words at a
+    time.  _messages=False returns None for the messages and recovers
+    none.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
@@ -432,17 +441,29 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     height = n - code.k
     words = np.arange(batch)[:, None]
     reliability = np.abs(y)
-    least_reliable_first = np.argsort(-reliability, axis=1, kind="stable")[:, ::-1]
+    # a row whose sorted |y| strictly increase has one ascending order;
+    # rows with ties (+-0 among them) or NaN, where > is false, sort again
+    least_reliable_first = np.argsort(reliability, axis=1)
+    ordered = np.take_along_axis(reliability, least_reliable_first, axis=1)
+    tied = np.flatnonzero(~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1))
+    least_reliable_first[tied] = np.argsort(-reliability[tied], axis=1, kind="stable")[:, ::-1]
     hard = y < 0
     checks = code.reduced[2]
     tail = _gf2.xor_rows(checks, hard)
-    reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first, tail=tail)
+    steps = n if order else min(n, height + _ORDER0_MARGIN)
+    try:
+        reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first[:, :steps],
+                                                         tail=tail)
+    except ValueError:  # some word's prefix lacks rank
+        steps = n
+        reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first, tail=tail)
+    rows = np.pad(rows, ((0, n - steps), (0, 0)), constant_values=-1)  # no pivots past the prefix
     # steps by role: the least reliable basis by pivot row, then the most
     # reliable basis, the steps without a pivot, last (most reliable) first
     by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
     positions = least_reliable_first[words, by_role]
     patterns, starts = _pattern_positions(code.k, order)
-    syndrome = reduced[n]
+    syndrome = reduced[steps]
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
     scored = certified = 0
     if order > 0:

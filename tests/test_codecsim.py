@@ -733,6 +733,58 @@ class TestOsdKernel:
         assert bare_stats.certified == 0 < stats.certified
         assert bare_stats.candidates_scored >= len(y)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_reliability_ties_zeros_infinities_and_nan_take_the_stable_order(self, order):
+        code = kernel_code(32, 16)
+        rng = np.random.default_rng(5)
+        codewords = rng.integers(0, 2, (8, 16)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + 0.7 * rng.standard_normal((8, 32))
+        y[0] = np.round(y[0] / 0.25) * 0.25
+        y[1] = np.round(y[1] / 0.5) * 0.5
+        y[2, [3, 9]] = 0.0, -0.0
+        y[3, [4, 11]] = np.inf, -np.inf
+        y[4, 6] = np.nan
+        y[5, [1, 2]] = np.nan, np.inf
+        y[6, 7] = np.inf
+        stable = np.argsort(-np.abs(y), axis=1, kind="stable")[:, ::-1]
+        # no adjacent |y| are equal in the NaN row, yet the unstable sort puts its NaN last
+        assert not np.array_equal(np.argsort(np.abs(y[4])), stable[4])
+        with (mock.patch.object(codecsim._gf2, "systematic_with_permutation",
+                                wraps=_gf2.systematic_with_permutation) as spy,
+              np.errstate(invalid="ignore")):
+            messages, got = osd_decode(code, y, order)
+            want = [osd_reference.osd_decode(code.generator, word, order)[0] for word in y]
+        used = spy.call_args.args[2]
+        assert np.array_equal(used, stable[:, : used.shape[1]])
+        # with inf - inf in its distances the reference picks its first
+        # candidate, so it decides the infinite rows at order 0 only
+        for row, (cw, message) in enumerate(zip(got, messages)):
+            if order == 0 or np.isfinite(y[row]).all():
+                assert np.array_equal(cw, want[row])
+            assert np.array_equal(encode(code, message), cw)
+
+    @pytest.mark.parametrize("n,k", [(64, 36), (128, 64)])
+    def test_order_zero_prefix_without_rank_reduces_every_column(self, n, k):
+        # with no margin some word's first n - k columns are dependent, and
+        # the decode must then equal the full elimination's
+        code = kernel_code(n, k)
+        rng = np.random.default_rng([n, k])
+        codewords = rng.integers(0, 2, (64, k)) @ code.generator % 2
+        y = 1.0 - 2.0 * codewords + 0.8 * rng.standard_normal((64, n))
+        results, widths = [], []
+        for margin in (0, n):
+            stats = OsdStats()
+            with (mock.patch.object(codecsim, "_ORDER0_MARGIN", margin),
+                  mock.patch.object(codecsim._gf2, "systematic_with_permutation",
+                                    wraps=_gf2.systematic_with_permutation) as spy):
+                results.append((*osd_decode(code, y, 0, stats), stats))
+            widths.append([call.args[2].shape[1] for call in spy.call_args_list])
+        assert widths == [[n - k, n], [n]]
+        (messages, got, stats), (full_messages, full_got, full_stats) = results
+        assert np.array_equal(got, full_got)
+        assert np.array_equal(messages, full_messages)
+        assert stats == full_stats
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 4), st.data())
     def test_floor_bounds_every_flip_cost_of_its_weight(self, k, order, data):

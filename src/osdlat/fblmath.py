@@ -28,8 +28,8 @@ _STEP_DB = 20.0
 _FLOOR_DB = -400.0
 # Bisection steps before regula falsi: 100 dB down to about 0.1 dB
 _SHARED_STEPS = 10
-# Generous multiple of the unit roundoff in the bound on _rate's rounding
-# error (README, "How required_snr replays its bisection").
+# Generous multiple of the unit roundoff in the bound on the float rate's
+# rounding error (README, "How required_snr replays its bisection").
 _NOISE_ULPS = 2 * QUADRATURE_NODES * 2.0**-53
 # Rows a search runs at a time: each array of a round's quadrature pass is
 # 1 MB at most at 128 nodes
@@ -109,20 +109,21 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 _stats_counts = [0, 0]  # quadratures looked up and computed
 
 
-def _info_density_stats(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
-    """(capacity, dispersion) in nats of _quadrature for each linear SNR in
-    rhos, each distinct SNR computed once, in one pass.  The searches send
-    one round's points, at most _ROWS of them.
+def _info_density_stats(rhos: Sequence[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(capacity, dispersion) arrays in nats of _quadrature for each linear
+    SNR in rhos, each distinct SNR computed once, in one pass.  The
+    searches send one round's points, at most _ROWS of them.
 
     Nothing is kept between calls.  cache_info() counts quadratures looked
     up (hits: repeats within a call) and computed (misses), and
     cache_clear() sets both counts to 0, as lru_cache's do.
     """
-    distinct = list(dict.fromkeys(rhos))
-    stats = dict(zip(distinct, _quadrature(distinct, nodes)))
-    _stats_counts[0] += len(rhos) - len(distinct)
-    _stats_counts[1] += len(distinct)
-    return list(map(stats.__getitem__, rhos))
+    index = {}  # each distinct SNR's row in the pass
+    where = [index.setdefault(rho, len(index)) for rho in rhos]
+    c_nats, v_nats2 = _quadrature(list(index), nodes)
+    _stats_counts[0] += len(rhos) - len(index)
+    _stats_counts[1] += len(index)
+    return c_nats[where], v_nats2[where]
 
 
 def _stats_counts_clear() -> None:
@@ -133,16 +134,9 @@ _info_density_stats.cache_info = lambda: CacheInfo(*_stats_counts)
 _info_density_stats.cache_clear = _stats_counts_clear
 
 
-@lru_cache(maxsize=64)
-def _scaled_nodes(nodes: int):
-    """sqrt(2) times the nodes, and the weights, of _hermgauss(nodes)."""
-    x, w = _hermgauss(nodes)
-    return math.sqrt(2.0) * x, w
-
-
-def _quadrature(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
-    """Mean (nats) and variance (nats^2) of the BPSK information density,
-    for each linear SNR in rhos.
+def _quadrature(rhos: Sequence[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (nats) and variance (nats^2) arrays of the BPSK information
+    density, for each linear SNR in rhos.
 
     With noise z ~ N(0, 1/rho) and transmitted symbol +1, the density is
     ln 2 - ln(1 + exp(-2 rho - 2 sqrt(rho) Z)) for standard normal Z; the
@@ -153,7 +147,8 @@ def _quadrature(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
     elementwise, and np.vecdot sums each row with the same BLAS ddot as
     np.dot (README).
     """
-    z, w = _scaled_nodes(nodes)
+    x, w = _hermgauss(nodes)
+    z = math.sqrt(2.0) * x
     rho = np.array(rhos)[:, None]
     # From 2^1000 (about 3010 dB) up, every g is exactly 0 whether -2 rho
     # is finite or, past about 3075 dB, -inf; the cap spares -2 rho its
@@ -162,28 +157,19 @@ def _quadrature(rhos: Sequence[float], nodes: int) -> list[tuple[float, float]]:
     norm = 1.0 / math.sqrt(math.pi)
     mean_g = np.vecdot(g, w) * norm
     mean_g2 = np.vecdot(g * g, w) * norm
-    c_nats = np.maximum(math.log(2.0) - mean_g, 0.0)
-    v_nats2 = np.maximum(mean_g2 - mean_g * mean_g, 0.0)
-    return list(zip(c_nats.tolist(), v_nats2.tolist()))
+    return np.maximum(math.log(2.0) - mean_g, 0.0), np.maximum(mean_g2 - mean_g * mean_g, 0.0)
 
 
 def biawgn_capacity(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """BI-AWGN channel capacity in bits per channel use."""
-    c_nats, _ = _info_density_stats([snr.linear], nodes)[0]
-    return c_nats * LOG2E
+    c_nats, _ = _info_density_stats([snr.linear], nodes)
+    return float(c_nats[0]) * LOG2E
 
 
 def biawgn_dispersion(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     """BI-AWGN channel dispersion in nats^2 per channel use."""
-    _, v = _info_density_stats([snr.linear], nodes)[0]
-    return v
-
-
-def _rate(n: int, backoff: float, snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
-    """normal_approx_rate with the backoff Qinv(eps) already computed."""
-    if n < 1:
-        raise ValueError(f"blocklength must be >= 1, got {n}")
-    return max(float(_unclamped_rate(n, backoff, *_info_density_stats([snr.linear], nodes)[0])), 0.0)
+    _, v = _info_density_stats([snr.linear], nodes)
+    return float(v[0])
 
 
 def _unclamped_rate(n, backoff: float, c_nats, v):
@@ -215,7 +201,11 @@ def normal_approx_rate(
     Returns max(0, C - sqrt(V/n) Qinv(eps) log2(e)), without the O(1/n)
     term; a clamped 0 marks the operating point infeasible at this SNR.
     """
-    return _rate(n, q_inv(validate_epsilon(epsilon)), snr, nodes)
+    backoff = q_inv(validate_epsilon(epsilon))
+    if n < 1:
+        raise ValueError(f"blocklength must be >= 1, got {n}")
+    rate = _unclamped_rate(n, backoff, *_info_density_stats([snr.linear], nodes))
+    return max(float(rate[0]), 0.0)
 
 
 def _blocks(rows: int):
@@ -240,9 +230,9 @@ def required_snr(
 
     The bisection is replayed, not run: regula falsi first finds ends
     below < root < above whose rates clear the target by more than the
-    bound on _rate's rounding error, and only the bisection's midpoints
-    strictly between them are evaluated.  README gives the argument that
-    every other midpoint keeps its decision.
+    bound on the float rate's rounding error, and only the bisection's
+    midpoints strictly between them are evaluated.  README gives the
+    argument that every other midpoint keeps its decision.
 
     n and rate may also be equal-length sequences: then it returns the
     list of each pair's Snr, and raises what the first failing pair would
@@ -254,11 +244,11 @@ def required_snr(
         n, rate = [n], [rate]
     elif np.ndim(n) != 1 or np.ndim(rate) != 1 or len(n) != len(rate):
         raise ValueError("n and rate must be two numbers or two sequences of equal length")
+    backoff = q_inv(validate_epsilon(epsilon))
     ns, rates, failure = list(n), list(rate), None
     for i, (m, r) in enumerate(zip(ns, rates)):
         try:
             rates[i] = validate_rate(r)
-            validate_epsilon(epsilon)
             if rates[i] >= 1.0:
                 raise InfeasibleError("rate 1 is unreachable at finite SNR")
             if m < 1:
@@ -268,25 +258,10 @@ def required_snr(
             break
     snrs = []
     for block in _blocks(len(ns)):
-        snrs += map(Snr, _required_dbs(ns[block], q_inv(epsilon), rates[block]))
+        snrs += map(Snr, _required_dbs(ns[block], backoff, rates[block]))
     if failure is not None:
         raise failure
     return snrs[0] if scalar else snrs
-
-
-def _outside_steps(lo: float, hi: float, below: float, above: float) -> tuple[float, float, int]:
-    """(lo, hi, steps) after the bisection's steps from (lo, hi) whose
-    midpoints lie outside (below, above), at most 80: those decide without
-    an evaluation.  below < above, so no midpoint is on both sides."""
-    for steps in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
-        else:
-            return lo, hi, steps
-    return lo, hi, 80
 
 
 def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> list[float]:
@@ -302,8 +277,7 @@ def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> 
         nan elsewhere.  The rate is before its clamp at 0, which decides
         alike: the target is positive."""
         stats = unknown.copy()
-        rhos = list(map(_linear, db[mask].tolist()))
-        stats[:, mask] = np.array(_info_density_stats(rhos, QUADRATURE_NODES)).T
+        stats[:, mask] = _info_density_stats(list(map(_linear, db[mask].tolist())), QUADRATURE_NODES)
         return _unclamped_rate(n, backoff, *stats), stats
 
     # The rate at the upper start is exactly 1 for every n and epsilon (V
@@ -342,18 +316,13 @@ def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> 
 
     # The first steps bisect (lo, hi): they are the bisection's own first
     # midpoints, which the rows of a block share.  Then Illinois regula
-    # falsi in dB on rate - target, with a bisection step whenever the last
-    # two steps did not halve the bracket, until a point lands in the noise
-    # band around the root.
+    # falsi in dB on rate - target, until a point lands in the noise band
+    # around the root.
     a, ya, b, yb = lo.copy(), y_lo - rate, hi.copy(), y_hi - rate
     x, tau, live = lo.copy(), tau_lo.copy(), everywhere
     was_low = was_high = ~everywhere  # the side of each row's last step
-    width = last_width = np.full(rows, np.inf)  # read on live rows only
     for step in itertools.count():
-        nxt = 0.5 * (a + b)
-        if step >= _SHARED_STEPS:
-            np.copyto(nxt, (a * yb - b * ya) / (yb - ya), where=b - a <= 0.5 * last_width)
-        last_width, width = width, b - a
+        nxt = 0.5 * (a + b) if step < _SHARED_STEPS else (a * yb - b * ya) / (yb - ya)
         np.copyto(x, nxt, where=live)
         live = live & (a < x) & (x < b)
         if not np.count_nonzero(live):
@@ -385,19 +354,14 @@ def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> 
             live = live & ~ended
             step = step * 4.0
 
-    # A row's first midpoints, about 40 of a cold scalar call's 60, all lie
-    # outside (below, above) and evaluate nothing: each row takes them in
-    # Python floats, the same operations without numpy's cost per call.
-    ends = map(_outside_steps, lo.tolist(), hi.tolist(), below.tolist(), above.tolist())
-    lo, hi, taken = map(np.array, zip(*ends))
-    for step in range(80):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         # once a midpoint equals an end, lo and hi stop moving and every
         # later step is the same no-op: rate(hi) >= target > rate(lo)
-        live = (lo < mid) & (mid < hi) & (step < 80 - taken)
+        live = (lo < mid) & (mid < hi)
         if not np.count_nonzero(live):
             break
-        to_lo, to_hi = live & (mid <= below), live & (mid >= above)
+        to_lo, to_hi = mid <= below, mid >= above  # no-ops on the rows that stopped
         inside = live & ~(to_lo | to_hi)
         if np.count_nonzero(inside):
             low = evaluate(mid, inside)[0] < rate

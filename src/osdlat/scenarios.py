@@ -192,7 +192,7 @@ def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backo
         rows.append(i)
         rates.append(rate)
     if rows:
-        c, v = np.array(_info_density_stats(rhos, QUADRATURE_NODES)).T
+        c, v = _info_density_stats(rhos, QUADRATURE_NODES)
         # the rate before its clamp at 0 decides alike: the target is positive
         fits[rows] = _unclamped_rate(np.array([ns[i] for i in rows], dtype=float), backoff, c, v) >= rates
     return fits

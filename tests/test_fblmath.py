@@ -26,6 +26,13 @@ def gaussian_tail(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def stats_pairs(rhos, nodes=QUADRATURE_NODES):
+    """_info_density_stats' capacity and dispersion arrays, as one
+    (capacity, dispersion) pair of floats per SNR."""
+    c_nats, v = fblmath._info_density_stats(rhos, nodes)
+    return list(zip(c_nats.tolist(), v.tolist()))
+
+
 def info_density_samples(rho, n_samples, seed):
     """Monte Carlo oracle: BPSK information density draws, in nats."""
     rng = np.random.default_rng(seed)
@@ -155,18 +162,19 @@ class TestBatchedQuadrature:
         rhos = [fblmath._linear(float(db)) for db in self.GRID_DB]
         want = [fbl_reference.info_density_stats(rho, nodes) for rho in rhos]
         stats.cache_clear()
-        assert stats(rhos, nodes) == want
+        assert stats_pairs(rhos, nodes) == want
         stats.cache_clear()
-        assert [stats([rho], nodes)[0] for rho in rhos] == want
-        assert all(type(c) is float and type(v) is float for c, v in stats(rhos, nodes))
+        assert [stats_pairs([rho], nodes)[0] for rho in rhos] == want
+        assert all(a.dtype == np.float64 and a.shape == (len(rhos),) for a in stats(rhos, nodes))
 
     def test_ends_of_the_linear_scale(self):
         # -2 rho is -inf past about 3075 dB, as in the one-SNR pass, and warns of nothing
         rhos = [Snr(db).linear for db in (-3236.0, -1000.0, 3075.0, 3076.0, 3082.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fblmath._quadrature(rhos, QUADRATURE_NODES)
-        assert got == [fbl_reference.info_density_stats(rho, QUADRATURE_NODES) for rho in rhos]
+            c_nats, v = fblmath._quadrature(rhos, QUADRATURE_NODES)
+        want = [fbl_reference.info_density_stats(rho, QUADRATURE_NODES) for rho in rhos]
+        assert list(zip(c_nats.tolist(), v.tolist())) == want
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -187,13 +195,13 @@ class TestBatchedQuadrature:
         stats = fblmath._info_density_stats
         a, b = Snr(1.0).linear, Snr(2.0).linear
         # a repeat within a call is computed once and then hit
-        first = stats([a, b, a], QUADRATURE_NODES)
+        first = stats_pairs([a, b, a])
         assert first[0] == first[2]
         # nothing is kept between calls
-        assert stats([b, a], QUADRATURE_NODES) == first[1:]
+        assert stats_pairs([b, a]) == first[1:]
         assert passes == [[a, b], [b, a]]
         assert stats.cache_info() == fblmath.CacheInfo(hits=1, misses=4)
-        assert stats([], QUADRATURE_NODES) == []
+        assert stats_pairs([]) == []
         stats.cache_clear()
         assert stats.cache_info() == (0, 0)
 
@@ -264,11 +272,15 @@ class TestRequiredSnr:
             required_snr(128, 2.0, 0.5)
         with pytest.raises(ValueError, match="blocklength"):
             required_snr(0, 1e-3, 0.5)
+        # an empty sequence still has its epsilon checked
+        for epsilon in (2.0, math.nan):
+            with pytest.raises(ValueError, match="error probability"):
+                required_snr([], epsilon, [])
 
     def test_lower_end_steps_down(self):
         # eps > 1/2 makes the backoff negative, so -60 dB already reaches
         # this rate; the search steps its lower end down to -80 dB
-        assert fblmath._rate(400000, q_inv(0.99), Snr(-60.0)) >= 2.5e-6
+        assert normal_approx_rate(400000, 0.99, Snr(-60.0)) >= 2.5e-6
         assert required_snr(400000, 0.99, 2.5e-6).db == -67.04691183498247
 
     def test_rate_reached_down_to_the_floor(self):
@@ -318,16 +330,17 @@ class TestRequiredSnrReplay:
     def test_upper_start_reaches_every_rate(self, n, epsilon):
         # required_snr never moves its upper end, and the oracle never steps
         # its own up: the rate before the clamp is exactly 1 at 40 dB
-        stats = fblmath._info_density_stats([Snr(fblmath._START_DB[1]).linear], QUADRATURE_NODES)[0]
+        stats = stats_pairs([Snr(fblmath._START_DB[1]).linear])[0]
         assert fblmath._unclamped_rate(n, q_inv(epsilon), *stats) == 1.0
 
     def test_every_k_over_n_of_small_blocklengths(self):
+        # one sequence call per (n, epsilon); test_matches_bisection and the
+        # alone-against-together tests cover the scalar call
         for epsilon in (1e-1, 1e-3, 1e-9):
             for n in range(2, 65):
-                for k in range(1, n):
-                    assert required_snr(n, epsilon, k / n).db == (
-                        fbl_reference.required_snr(n, epsilon, k / n).db
-                    ), (n, k, epsilon)
+                got = required_snr([n] * (n - 1), epsilon, [k / n for k in range(1, n)])
+                for k, snr in enumerate(got, start=1):
+                    assert snr.db == fbl_reference.required_snr(n, epsilon, k / n).db, (n, k, epsilon)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -478,7 +491,7 @@ class TestNoiseBound:
             mean_g = norm * mp.fsum(exact(wi) * gi for wi, gi in zip(w, g))
             mean_g2 = norm * mp.fsum(exact(wi) * gi * gi for wi, gi in zip(w, g))
             c_nats, v = max(ln2 - mean_g, 0), max(mean_g2 - mean_g**2, 0)
-            stats = fblmath._info_density_stats([fblmath._linear(db)], QUADRATURE_NODES)[0]
+            stats = stats_pairs([fblmath._linear(db)])[0]
             for n, epsilon in ((1, 1e-12), (128, 1e-3), (10**6, 1e-3), (1, 0.99)):
                 backoff = q_inv(epsilon)
                 want = (c_nats - mp.sqrt(v / n) * exact(backoff)) * exact(fblmath.LOG2E)
@@ -492,8 +505,8 @@ class TestNoiseBound:
         backoff = q_inv(epsilon)
         grid = np.arange(-400.0, 400.0, 0.05)
         stats = fblmath._info_density_stats([fblmath._linear(db) for db in grid], QUADRATURE_NODES)
-        tau = np.array([fblmath._noise_bound(n, backoff, *s) for s in stats])
-        rate = np.array([max(fblmath._unclamped_rate(n, backoff, *s), 0.0) for s in stats])
+        tau = fblmath._noise_bound(n, backoff, *stats)
+        rate = np.maximum(fblmath._unclamped_rate(n, backoff, *stats), 0.0)
         # the bound at an SNR covers every SNR above it, with a factor 2 to spare
         assert np.all(np.maximum.accumulate(tau[::-1])[::-1] <= 2.0 * tau)
         # the rate rises to its peak and then (eps > 1/2 only) falls, up to the noise

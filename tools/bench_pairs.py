@@ -22,10 +22,11 @@ with 1 and with 2 pool workers: the data that decides whether the process
 pool pays.  A run gets a pool only when its grid points have two batches
 or more, so one-batch sweeps such as ``mc_sweep_parallel``'s run in-process,
 and its median wall time next to ``mc_sweep``'s shows only that.
-An analytic-layers block times, on both sides and in fresh processes,
-the median cold scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold
-128-row ``minimize_latency`` sweep, and the wall time and peak RSS of the
-cold max-k command ``MAX_K_ARGV``.
+An analytic-layers block times, in fresh processes, the median cold
+scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold 128-row
+``minimize_latency`` sweep, and the wall time and peak RSS of the cold
+max-k command ``MAX_K_ARGV``: ``CLI_SAMPLES`` samples per side, sides
+alternating, each recorded with the medians.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -174,13 +175,18 @@ def timed(side: Path, argv: list[str], workers: int | None = None) -> dict:
     return {"seconds": seconds, "returncode": proc.returncode, "last_line": lines[-1] if lines else ""}
 
 
+def sides_in_turn(i: int) -> tuple[str, str]:
+    """The order the two sides run in, in pair or sample i: the parent first when i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def cli_runs(sides: dict) -> dict:
     """Per CLI_COMMANDS entry, each side's wall seconds of fresh processes and their median."""
     record = {}
     for name, argv in CLI_COMMANDS.items():
         seconds = {side: [] for side in sides}
         for i in range(CLI_SAMPLES):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            for side in sides_in_turn(i):
                 run = timed(sides[side], [sys.executable, "-m", "osdlat", *argv])
                 if run["returncode"] != 0:
                     raise RuntimeError(f"osdlat {' '.join(argv)} in {sides[side]} exited {run['returncode']}")
@@ -199,17 +205,33 @@ def suites(side: Path) -> dict:
     }
 
 
-def analytic_layers(side: Path) -> dict:
-    """The scalar call, the 128-row sweep and the cold max-k command, in fresh processes."""
+def analytic_sample(side: Path) -> dict:
+    """The scalar call and the 128-row sweep in one fresh process, and the cold max-k command in another."""
     proc = subprocess.run([sys.executable, "-c", ANALYTIC_SNIPPET, json.dumps(SCALAR_PAIRS)], cwd=side,
                           env=side_env(side), check=True, capture_output=True, text=True)
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SNIPPET, *MAX_K_ARGV], cwd=side,
                           env=side_env(side), check=True, capture_output=True, text=True)
-    record["max_k_99k_rows"] = {"argv": list(MAX_K_ARGV), "wall_s": time.perf_counter() - start,
-                                **json.loads(proc.stdout.strip().splitlines()[-1])}
+    max_k = json.loads(proc.stdout.strip().splitlines()[-1])
+    if max_k["returncode"] != 0:
+        raise RuntimeError(f"osdlat {' '.join(MAX_K_ARGV)} in {side} exited {max_k['returncode']}")
+    record["max_k_wall_s"] = time.perf_counter() - start
+    record["max_k_peak_rss_mb"] = max_k["peak_rss_mb"]
     return record
+
+
+def analytic_layers(sides: dict) -> dict:
+    """CLI_SAMPLES analytic samples per side, sides alternating: every sample and each metric's median."""
+    samples = {side: [] for side in sides}
+    for i in range(CLI_SAMPLES):
+        for side in sides_in_turn(i):
+            samples[side].append(analytic_sample(sides[side]))
+    metrics = ("scalar_required_snr_median_ms", "min_latency_128_rows_median_ms", "max_k_wall_s",
+               "max_k_peak_rss_mb")
+    return {"max_k_argv": list(MAX_K_ARGV),
+            **{side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}
+               for side, runs in samples.items()}}
 
 
 def gate_sweeps(side: Path, workers: int) -> dict:
@@ -306,7 +328,7 @@ def main(argv=None) -> int:
         for workload in (w["name"] for w in SPEC["workloads"]):
             pairs = []
             for i, seed in enumerate(SEEDS):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                order = sides_in_turn(i)
                 pair = {"seed": seed, "first": order[0]}
                 for name in order:
                     pair[name] = perfbench(sides[name], workload, seed)
@@ -315,7 +337,7 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {"metrics": compare(pairs), "pairs": pairs}
 
         record["cli"] = cli_runs(sides)
-        record["analytic_layers"] = {name: analytic_layers(side) for name, side in sides.items()}
+        record["analytic_layers"] = analytic_layers(sides)
         record["suites"] = {name: suites(side) for name, side in sides.items()}
         record["pool"] = {
             "norm_wall_s_median": {

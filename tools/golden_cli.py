@@ -52,6 +52,8 @@ INPUT_FILES = {
     "cfg_unknown_key.json": '{"bogus_flag": 1}\n',
     "cfg_bad_choice.json": '{"which": "bogus"}\n',
     "cfg_not_json.json": "{not json\n",
+    "cfg_array.json": "[1, 2]\n",
+    "cfg_null.json": '{"n": null}\n',
     "empty": "",
 }
 
@@ -74,6 +76,7 @@ def command_set() -> list[Case]:
 
     add("complexity", "--n", "128", "--k", "64", "--orders", "0:3")
     add("complexity", "--n", "128", "--k", "64", "--orders", "3:1", rc=3, err="'3:1'")
+    add("complexity", "--n", "128", "--k", "64", "--orders", "1", rc=3, err="expected lo:hi, got '1'")
     for tb in BINOP_TIMES:
         add("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb)
     # a complexity, and a latency k*c*T_b, past the float range
@@ -107,10 +110,12 @@ def command_set() -> list[Case]:
     add("tradeoff", "--params-file", "{tmp}/absent", rc=2, err="cannot read")
     add("tradeoff", "--fit", "{tmp}/absent", rc=2, err="cannot read")
 
-    # --config documents: empty, not JSON, an unknown key, absent, a bad choice
+    # --config documents: empty, not JSON, not an object, a null value, an unknown key, absent, a bad choice
     cfg = ("complexity", "--n", "128", "--k", "64", "--config")
     add(*cfg, "{tmp}/empty", rc=2, err="not valid JSON")
     add(*cfg, "{tmp}/cfg_not_json.json", rc=2, err="not valid JSON")
+    add(*cfg, "{tmp}/cfg_array.json", rc=2, err="must contain a JSON object")
+    add(*cfg, "{tmp}/cfg_null.json", rc=2, err="config value of 'n' must be a string or a number, got None")
     add(*cfg, "{tmp}/cfg_unknown_key.json", rc=2, err="bogus_flag")
     add(*cfg, "{tmp}/absent", rc=2, err="cannot read")
     add("scenario", "--which", "max-k", "--config", "{tmp}/cfg_bad_choice.json",
@@ -121,9 +126,10 @@ def command_set() -> list[Case]:
     add(*sim, "--order", "4", "--eps", "3e-2", "--seed", "5", "--min-errors", "40")
     add("simulate", "--code", "16x11", "--order", "1", "--snr-db", "4", "--seed", "9",
         "--min-errors", "20", "--max-trials", "3000")
-    # an order above k and a code that is not built in
+    # an order above k, a code that is not built in and one not written NxK
     add(*sim, "--order", "99", "--snr-db", "6", rc=3, err="order")
     add("simulate", "--code", "10x5", "--order", "0", "--snr-db", "6", rc=3, err="not a supported")
+    add("simulate", "--code", "64-36", "--order", "0", "--snr-db", "6", rc=3, err="must look like 64x36, got '64-36'")
     # SNRs whose linear value overflows or underflows, and sweep grids that are
     # not finite and positive or that give more than MAX_RANGE_ROWS points
     # (0.00015 dB is the first such grid over the 15 dB span)
@@ -133,9 +139,10 @@ def command_set() -> list[Case]:
         add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", grid, "--max-trials", "10", rc=3, err="--grid-db")
     add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", "0.00015", rc=3, err="--grid-db")
     add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db=-0.25", rc=3, err="--grid-db")
-    # both modes at once, and a negative seed in either mode
+    # both modes at once, neither, and a negative seed in either mode
     add(*sim, "--order", "0", "--eps", "1e-2", "--grid-db", "0.5", "--max-trials", "512", "--snr-db", "3",
         rc=3, err=("--snr-db", "--eps"))
+    add(*sim, "--order", "0", rc=3, err="simulate needs --snr-db or --eps")
     add(*sim, "--order", "0", "--snr-db", "3", "--seed=-1", rc=3, err="--seed")
     add(*sim, "--order", "0", "--eps", "1e-2", "--seed=-1", "--max-trials", "10", rc=3, err="--seed")
 
@@ -199,6 +206,8 @@ def command_set() -> list[Case]:
 
     add("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", rc=3, err="start:stop:step")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "5:1:1", rc=3,
+        err="range needs stop >= start and step > 0, got '5:1:1'")
     add("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=2, err=("usage: osdlat rate", "--n"))
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", rc=3, err="finite")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", rc=3, err="rows")

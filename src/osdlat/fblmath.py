@@ -10,7 +10,6 @@ use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -26,11 +25,9 @@ QUADRATURE_NODES = 128
 _START_DB = (-60.0, 40.0)
 _STEP_DB = 20.0
 _FLOOR_DB = -400.0
-# Bisection steps before regula falsi: 100 dB down to about 0.1 dB
-_SHARED_STEPS = 10
-# Generous multiple of the unit roundoff in the bound on the float rate's
-# rounding error (README, "How required_snr replays its bisection").
-_NOISE_ULPS = 2 * QUADRATURE_NODES * 2.0**-53
+# Width in dB of the bracket required_snr's result closes: well under the
+# float rounding of an SNR plus a penalty that the scenario checks allow (1e-9 dB)
+_TOL_DB = 1e-12
 # Rows a search runs at a time: each array of a round's quadrature pass is
 # 1 MB at most at 128 nodes
 _ROWS = 1024
@@ -136,7 +133,8 @@ _info_density_stats.cache_clear = _stats_counts_clear
 
 def _quadrature(rhos: Sequence[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean (nats) and variance (nats^2) arrays of the BPSK information
-    density, for each linear SNR in rhos.
+    density, for each linear SNR in rhos.  The variance is the centred
+    second moment, which does not cancel at low SNR as E[g^2] - E[g]^2 does.
 
     With noise z ~ N(0, 1/rho) and transmitted symbol +1, the density is
     ln 2 - ln(1 + exp(-2 rho - 2 sqrt(rho) Z)) for standard normal Z; the
@@ -156,8 +154,8 @@ def _quadrature(rhos: Sequence[float], nodes: int) -> tuple[np.ndarray, np.ndarr
     g = np.logaddexp(0.0, -2.0 * np.minimum(rho, 2.0**1000) - 2.0 * np.sqrt(rho) * z)
     norm = 1.0 / math.sqrt(math.pi)
     mean_g = np.vecdot(g, w) * norm
-    mean_g2 = np.vecdot(g * g, w) * norm
-    return np.maximum(math.log(2.0) - mean_g, 0.0), np.maximum(mean_g2 - mean_g * mean_g, 0.0)
+    d = g - mean_g[:, None]
+    return np.maximum(math.log(2.0) - mean_g, 0.0), np.vecdot(d * d, w) * norm
 
 
 def biawgn_capacity(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
@@ -176,18 +174,6 @@ def _unclamped_rate(n, backoff: float, c_nats, v):
     """The rate in bits before its clamp at 0, elementwise over arrays of
     n, capacity and dispersion in nats."""
     return (c_nats - np.sqrt(v / n) * backoff) * LOG2E
-
-
-def _noise_bound(n, backoff: float, c_nats, v):
-    """Bound in bits on how far _unclamped_rate(n, backoff, c_nats, v) lies
-    from the rate that exact arithmetic gives at the same SNR (README),
-    elementwise like _unclamped_rate."""
-    mean_g = math.log(2.0) - c_nats
-    err_v = _NOISE_ULPS * (2.0 * v + 4.0 * mean_g * mean_g + 4.0 * mean_g)
-    small = v <= 2.0 * err_v
-    err_sqrt_v = np.where(small, np.sqrt(err_v), err_v / np.sqrt(np.where(small, 1.0, v - err_v)))
-    err_sqrt_v = err_sqrt_v + _NOISE_ULPS * np.sqrt(v)
-    return LOG2E * (_NOISE_ULPS * (1.0 + mean_g) + abs(backoff) / np.sqrt(n) * err_sqrt_v)
 
 
 def normal_approx_rate(
@@ -220,23 +206,19 @@ def required_snr(
     epsilon: float,
     rate: float | Sequence[float],
 ) -> Snr | list[Snr]:
-    """Smallest SNR whose normal-approximation rate reaches the target.
+    """Smallest SNR whose normal-approximation rate reaches the target, to
+    within _TOL_DB.
 
-    Returns the float of an 80-step bisection in dB, which starts from
-    [-60, 40] dB and moves its lower end down in 20 dB steps until it
-    brackets the target.  Raises InfeasibleError for rate >= 1, which no
-    finite SNR can reach, and ValueError when even -400 dB reaches the
-    rate.
-
-    The bisection is replayed, not run: regula falsi first finds ends
-    below < root < above whose rates clear the target by more than the
-    bound on the float rate's rounding error, and only the bisection's
-    midpoints strictly between them are evaluated.  README gives the
-    argument that every other midpoint keeps its decision.
+    Returns an SNR b in dB whose float rate reaches the target, found by a
+    search that also met an a < b, no more than _TOL_DB below it, whose
+    rate does not.  The search starts from [-60, 40] dB and moves its
+    lower end down in 20 dB steps until it brackets the target.  Raises
+    InfeasibleError for rate >= 1, which no finite SNR can reach, and
+    ValueError when even -400 dB reaches the rate.
 
     n and rate may also be equal-length sequences: then it returns the
     list of each pair's Snr, and raises what the first failing pair would
-    raise on its own.  Every pair of a block runs each phase of the replay
+    raise on its own.  Every pair of a block runs each phase of the search
     together, one quadrature call per round.
     """
     scalar = np.ndim(n) == 0 and np.ndim(rate) == 0
@@ -265,108 +247,54 @@ def required_snr(
 
 
 def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> list[float]:
-    """The bisection's float in dB for each valid (n, rate) row, as arrays:
-    each phase of the replay runs on all rows, the rows it is done with
-    masked out (README)."""
+    """required_snr's b in dB for each valid (n, rate) row, as arrays:
+    each phase of the search runs on all rows, the rows it is done with
+    masked out."""
     n, rate = np.array(ns, dtype=float), np.array(rates)
     rows = len(rates)
     unknown = np.full((2, rows), np.nan)
 
-    def evaluate(db, mask):
-        """(rate, (capacity, dispersion) in nats) at db for the rows in mask,
-        nan elsewhere.  The rate is before its clamp at 0, which decides
-        alike: the target is positive."""
+    def gap(db, mask):
+        """Rate minus target at db for the rows in mask, nan elsewhere.  The
+        rate is before its clamp at 0, which decides alike: the target is
+        positive."""
         stats = unknown.copy()
         stats[:, mask] = _info_density_stats(list(map(_linear, db[mask].tolist())), QUADRATURE_NODES)
-        return _unclamped_rate(n, backoff, *stats), stats
+        return _unclamped_rate(n, backoff, *stats) - rate
 
     # The rate at the upper start is exactly 1 for every n and epsilon (V
     # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.
     everywhere = np.ones(rows, dtype=bool)
-    hi = np.full(rows, _START_DB[1])
-    y_hi = evaluate(hi, everywhere)[0]
-    lo, y_lo, tau_lo = np.full(rows, _START_DB[0]), np.empty(rows), np.empty(rows)
+    b = np.full(rows, _START_DB[1])
+    yb = gap(b, everywhere)
+    a, ya = np.full(rows, _START_DB[0]), np.empty(rows)
     stepping = everywhere
     while np.count_nonzero(stepping):
-        y, stats = evaluate(lo, stepping)
-        met = y < rate
-        np.copyto(y_lo, y, where=met)
-        np.copyto(tau_lo, _noise_bound(n, backoff, *stats), where=met)
+        y = gap(a, stepping)
+        met = y < 0.0
+        np.copyto(ya, y, where=met)
         stepping = stepping & ~met
-        np.copyto(lo, lo - _STEP_DB, where=stepping)
-        if np.count_nonzero(stepping & (lo < _FLOOR_DB)):  # every row gets there in the same round
+        np.copyto(a, a - _STEP_DB, where=stepping)
+        if np.count_nonzero(stepping & (a < _FLOOR_DB)):  # every row gets there in the same round
             raise ValueError(f"rate {rates[int(np.argmax(stepping))]} is reached at every SNR "
                              f"down to {_FLOOR_DB:g} dB")
 
-    # Every bisection midpoint m <= below has a rate below the target, and
-    # every midpoint m >= above has a rate at or above it.  A point becomes
-    # an end only when its rate clears the target by four noise bounds.
-    below, tau_below, above = lo.copy(), tau_lo.copy(), hi.copy()
-
-    def certify(db, y, tau, mask):
-        """Move the ends of the rows in mask to db where y clears the
-        target; which rows moved one."""
-        low = y < rate
-        to_below = mask & low & (y + 4.0 * tau_below < rate)
-        to_above = mask & ~low & (np.minimum(y, y_hi) - 4.0 * tau >= rate)
-        np.copyto(below, db, where=to_below)
-        np.copyto(tau_below, tau, where=to_below)
-        np.copyto(above, db, where=to_above)
-        return to_below | to_above
-
-    # The first steps bisect (lo, hi): they are the bisection's own first
-    # midpoints, which the rows of a block share.  Then Illinois regula
-    # falsi in dB on rate - target, until a point lands in the noise band
-    # around the root.
-    a, ya, b, yb = lo.copy(), y_lo - rate, hi.copy(), y_hi - rate
-    x, tau, live = lo.copy(), tau_lo.copy(), everywhere
+    # Illinois regula falsi in dB on rate - target, with ya < 0 <= yb: an
+    # end that stays twice has its value halved, and a step that leaves
+    # the open bracket takes the midpoint.  yb - ya > 0 on every row.
+    live = b - a > _TOL_DB
     was_low = was_high = ~everywhere  # the side of each row's last step
-    for step in itertools.count():
-        nxt = 0.5 * (a + b) if step < _SHARED_STEPS else (a * yb - b * ya) / (yb - ya)
-        np.copyto(x, nxt, where=live)
-        live = live & (a < x) & (x < b)
-        if not np.count_nonzero(live):
-            break
-        y, stats = evaluate(x, live)
-        np.copyto(tau, _noise_bound(n, backoff, *stats), where=live)
-        in_band = live & ~certify(x, y, tau, live)
-        low, high = live & (y < rate), live & (y >= rate)
+    while np.count_nonzero(live):
+        x = (a * yb - b * ya) / (yb - ya)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        y = gap(x, live)
+        low, high = live & (y < 0.0), live & (y >= 0.0)
         np.copyto(ya, ya * 0.5, where=high & was_high)
         np.copyto(yb, yb * 0.5, where=low & was_low)
-        np.copyto(ya, y - rate, where=low)
-        np.copyto(yb, y - rate, where=high)
+        np.copyto(ya, y, where=low)
+        np.copyto(yb, y, where=high)
         np.copyto(a, x, where=low)
         np.copyto(b, x, where=high)
         was_low, was_high = low, high
-        live = live & ~in_band
-    # From there, step out on each side, just past the band and then four
-    # times as far each time, until that side has an end.
-    first = np.maximum(5.0 * tau * (b - a) / (yb - ya), 4.0 * np.spacing(np.abs(x)))
-    for direction in (-1.0, 1.0):
-        step, live = first, everywhere
-        while True:
-            p = x + direction * step
-            live = live & (below < p) & (p < above)
-            if not np.count_nonzero(live):
-                break
-            y, stats = evaluate(p, live)
-            ended = certify(p, y, _noise_bound(n, backoff, *stats), live) & ((y < rate) == (direction < 0))
-            live = live & ~ended
-            step = step * 4.0
-
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        # once a midpoint equals an end, lo and hi stop moving and every
-        # later step is the same no-op: rate(hi) >= target > rate(lo)
-        live = (lo < mid) & (mid < hi)
-        if not np.count_nonzero(live):
-            break
-        to_lo, to_hi = mid <= below, mid >= above  # no-ops on the rows that stopped
-        inside = live & ~(to_lo | to_hi)
-        if np.count_nonzero(inside):
-            low = evaluate(mid, inside)[0] < rate
-            to_lo |= inside & low
-            to_hi |= inside & ~low
-        np.copyto(lo, mid, where=to_lo)
-        np.copyto(hi, mid, where=to_hi)
-    return hi.tolist()
+        live = live & (b - a > _TOL_DB)
+    return b.tolist()

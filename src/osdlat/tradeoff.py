@@ -159,7 +159,7 @@ def fit_params(points: list[PenaltyPoint], n_anchor: int) -> FitResult:
     """Least-squares fit of (a, b, gamma_fit) to measured penalty points.
 
     Minimizes sum_i (1/log2(c_i) - a*drho_i^gamma - b)^2, which is linear
-    in (a, b) for fixed gamma; gamma is found by a bounded 1-D search.
+    in (a, b) for fixed gamma; gamma is found by a bounded golden-section search.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points to fit the law")
@@ -177,18 +177,31 @@ def fit_params(points: list[PenaltyPoint], n_anchor: int) -> FitResult:
         resid = design @ coef - y
         return coef, float(resid @ resid)
 
-    from scipy import optimize  # imported here: only --fit needs it, and it costs every command ~0.25 s
-
-    res = optimize.minimize_scalar(
-        lambda g: solve(g)[1], bounds=(0.01, 5.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    gamma = float(res.x)
+    gamma = _golden_section(lambda g: solve(g)[1], 0.01, 5.0, xatol=1e-12)
     (a, b), sse = solve(gamma)
     if a <= 0 or b <= 0:
         raise ValueError(f"fit produced non-positive constants a={a}, b={b}")
     params = TradeoffParams(a=float(a), b=float(b), gamma_fit=gamma, n_anchor=n_anchor)
     return FitResult(params, math.sqrt(sse / len(points)))
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
+    """A minimiser of f on [lo, hi], to within xatol when f is unimodal there:
+    each step keeps the golden-ratio part of the bracket holding the lower
+    of its two inner points."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
 def params_for_blocklength(n: float, extrapolation: str = "power") -> TradeoffParams:

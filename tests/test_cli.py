@@ -71,30 +71,37 @@ class TestEntryPoint:
         assert proc.stdout == ""
 
     def test_scipy_loads_only_for_the_commands_that_need_it(self):
-        """complexity, tradeoff --n and simulate --snr-db load no scipy module; rate loads scipy.special."""
+        """complexity, tradeoff --n, tradeoff --fit and simulate --snr-db load no scipy
+        module; rate loads scipy.special and no scipy.optimize."""
         script = textwrap.dedent("""
-            import contextlib, io, json, sys
+            import contextlib, io, json, os, sys, tempfile
             from osdlat import cli
 
             def run(*argv):
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     assert cli.main(list(argv)) == 0, argv
                 return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-            print(json.dumps([
-                run("complexity", "--n", "128", "--k", "64"),
-                run("tradeoff", "--n", "128"),
-                run("simulate", "--code", "64x36", "--order", "1", "--snr-db", "3",
-                    "--max-trials", "512", "--seed", "1"),
-                run("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1:1"),
-            ]))
+            with tempfile.TemporaryDirectory() as tmp:
+                points = os.path.join(tmp, "points.csv")
+                with open(points, "w") as f:
+                    f.write("delta_rho_db,c\\n0.5,4096\\n1.0,900\\n2.0,210\\n4.0,60\\n")
+                print(json.dumps([
+                    run("complexity", "--n", "128", "--k", "64"),
+                    run("tradeoff", "--n", "128"),
+                    run("tradeoff", "--fit", points, "--n-anchor", "64"),
+                    run("simulate", "--code", "64x36", "--order", "1", "--snr-db", "3",
+                        "--max-trials", "512", "--seed", "1"),
+                    run("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1:1"),
+                ]))
         """)
         env = {k: v for k, v in os.environ.items() if k != cli.WORKERS_ENV}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         *no_scipy, after_rate = json.loads(proc.stdout)
-        assert no_scipy == [[], [], []]
+        assert no_scipy == [[], [], [], []]
         assert "scipy.special" in after_rate
+        assert not any(m.startswith("scipy.optimize") for m in after_rate)
 
 
 class TestRateCommand:
@@ -481,11 +488,20 @@ def test_run_commands_restores_workers(monkeypatch, before):
     assert os.environ.get(cli.WORKERS_ENV) == before
 
 
+@functools.cache
+def _golden_digests():
+    return json.loads(Path(__file__).with_name("golden_digests.json").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(case.argv) for case in CASES])
 def test_case(case_results, index):
-    """The declared exit code (an uncaught exception reads 1), stderr fragments, and no stdout on failure."""
+    """The declared exit code (an uncaught exception reads 1), stderr fragments, no stdout on
+    failure, and the digest of exit code, stdout and stderr that tests/golden_digests.json holds."""
     case, result = CASES[index], case_results[index]
     assert result["rc"] == case.rc, result["stderr"]
     assert [f for f in case.stderr if f not in result["stderr"]] == [], result["stderr"]
     if case.rc:
         assert result["stdout"] == ""
+    tool, stored = _golden_tool(), _golden_digests()
+    assert tool.digest(result) == stored["digests"].get(" ".join(case.argv)), (
+        f"output differs from the digest stored for build {stored['build']}; this build is {tool.build()}")

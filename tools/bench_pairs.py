@@ -26,7 +26,9 @@ An analytic-layers block times, in fresh processes, the median cold
 scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold 128-row
 ``minimize_latency`` sweep, and the wall time and peak RSS of the cold
 max-k command ``MAX_K_ARGV``: ``CLI_SAMPLES`` samples per side, sides
-alternating, each recorded with the medians.
+alternating, each recorded with the medians.  Next to the two times it
+records the quadratures each computes (``_info_density_stats``' misses):
+the median over ``SCALAR_PAIRS`` of a cold call, and the sweep's.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -90,13 +92,14 @@ from osdlat.oscomplexity import LatencyBudget
 
 pairs, repeats = json.loads(sys.argv[1]), 15
 stats = fblmath._info_density_stats
-scalar = []
+scalar, scalar_quadratures = [], []
 for _ in range(repeats):
     for pair in pairs:
         stats.cache_clear()
         start = time.perf_counter()
         fblmath.required_snr(*pair)
         scalar.append(time.perf_counter() - start)
+        scalar_quadratures.append(stats.cache_info().misses)
 cfg = scenarios.ScenarioConfig(budget=LatencyBudget(1e-3, 1e-6, 1e-9), epsilon=1e-3, power_cap_db=8.0)
 sweep = []
 for _ in range(repeats):
@@ -105,7 +108,9 @@ for _ in range(repeats):
     scenarios.minimize_latency(cfg, 64, range(64, 192))
     sweep.append(time.perf_counter() - start)
 print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scalar),
+                  "scalar_required_snr_median_quadratures": statistics.median(scalar_quadratures),
                   "min_latency_128_rows_median_ms": 1e3 * statistics.median(sweep),
+                  "min_latency_128_rows_quadratures": stats.cache_info().misses,
                   "repeats": repeats}))
 """
 PEAK_RSS_SNIPPET = """
@@ -227,7 +232,8 @@ def analytic_layers(sides: dict) -> dict:
     for i in range(CLI_SAMPLES):
         for side in sides_in_turn(i):
             samples[side].append(analytic_sample(sides[side]))
-    metrics = ("scalar_required_snr_median_ms", "min_latency_128_rows_median_ms", "max_k_wall_s",
+    metrics = ("scalar_required_snr_median_ms", "scalar_required_snr_median_quadratures",
+               "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures", "max_k_wall_s",
                "max_k_peak_rss_mb")
     return {"max_k_argv": list(MAX_K_ARGV),
             **{side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}

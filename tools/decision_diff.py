@@ -5,8 +5,9 @@
 The parent commit is exported with ``git archive`` into a temporary
 directory, as ``tools/bench_pairs.py`` does.  Each tree decodes the same
 seeded comparison set in its own subprocess: the eBCH codes and orders
-of ``CASES``, at the normal-approximation SNR for epsilon = 1e-3 moved
-by each of ``OFFSETS_DB``, with y unquantised and rounded to each of
+of ``CASES``, at the normal-approximation SNR for epsilon = 1e-3
+(``NA_DB``, stored so that a change to ``required_snr`` moves no word)
+moved by each of ``OFFSETS_DB``, with y unquantised and rounded to each of
 ``QUANTA`` (rounding makes |y| and candidate scores tie exactly, so
 tie-breaking is compared too).  The tool prints the number of words
 whose decided codeword differs, per code and order, and exits 1 if any
@@ -29,6 +30,11 @@ from bench_pairs import ROOT, export
 # (n, k, highest order): orders 0 to the highest are decoded
 CASES = ((8, 4, 4), (16, 7, 4), (16, 11, 4), (32, 16, 4), (32, 26, 3), (64, 36, 3), (64, 57, 2),
          (128, 64, 2), (128, 57, 2))
+# required_snr(n, 1e-3, k / n) in dB for each code of CASES, stored so that
+# a change to required_snr's low digits moves no word
+NA_DB = {(8, 4): 6.670174152057846, (16, 7): 5.166645830632075, (16, 11): 7.180648341691804,
+         (32, 16): 4.595072443017219, (32, 26): 7.742794375704356, (64, 36): 4.238175156530372,
+         (64, 57): 8.302571310645883, (128, 64): 2.772937918735114, (128, 57): 2.175888657573072}
 OFFSETS_DB = (-2.0, -1.0, 0.0, 1.0, 2.0)
 QUANTA = (0.0, 0.25, 0.5)
 WORDS = 2048  # per code, order, offset and quantum
@@ -36,13 +42,11 @@ SNIPPET = """
 import json, sys
 import numpy as np
 from osdlat.codecsim import build_ebch, osd_decode
-from osdlat.fblmath import required_snr
 
 cases, offsets, quanta, words = json.loads(sys.argv[1])
 decided = {}
-for n, k, top in cases:
+for n, k, top, na_db in cases:
     code = build_ebch(n, k)
-    na_db = required_snr(n, 1e-3, k / n).db
     for order in range(top + 1):
         rows = []
         for i, offset in enumerate(offsets):
@@ -60,7 +64,7 @@ def decisions(side: Path, out: Path) -> dict:
     """Decided codewords (packed, one row per word) per code and order, from the tree at side."""
     env = {k: v for k, v in os.environ.items() if k not in ("OSDLAT_WORKERS", "PYTHONPATH")}
     env["PYTHONPATH"] = str(side / "src")
-    spec = json.dumps([CASES, OFFSETS_DB, QUANTA, WORDS])
+    spec = json.dumps([[(n, k, top, NA_DB[n, k]) for n, k, top in CASES], OFFSETS_DB, QUANTA, WORDS])
     subprocess.run([sys.executable, "-c", SNIPPET, spec, str(out)], cwd=side, env=env, check=True)
     with np.load(out) as saved:
         return dict(saved)

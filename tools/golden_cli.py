@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/golden_cli.py capture OUT.json
     python3 tools/golden_cli.py diff A.json B.json
+    PYTHONPATH=src python3 tools/golden_cli.py digest tests/golden_digests.json
 
 ``command_set()`` is the one list of command-line cases: each ``Case``
 holds an argv, the exit code it must end with (0 success, 2 usage error,
@@ -22,15 +23,25 @@ differ between checkouts.
 
 ``diff`` prints every command whose stored results differ, with a
 unified diff of each stream that changed, and exits 1 when any differ.
+
+``digest`` runs the list the same way and stores only the sha256 of each
+command's exit code, stdout and stderr (``digest()``), with the numpy,
+Python and platform build that produced them (``build()``).
+``tests/test_cli.py`` compares every case it runs with the checked-in
+``tests/golden_digests.json``, so a change that moves an output updates
+that file in the same diff.  The floats depend on the build (numpy sums
+with the BLAS it was built with), so a mismatch names both builds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -160,7 +171,7 @@ def command_set() -> list[Case]:
     # a rate that -60 dB already reaches (eps > 1/2 makes the backoff negative):
     # required_snr steps its lower end down instead of returning -60 dB
     add(*scn, "min-latency", "--k", "1", "--pm-db", "5", "--eps", "0.99", "--tb", "1e-9",
-        "--n-range", "400000:400000", err='"required_snr_db": -67.04691183498247')
+        "--n-range", "400000:400000", err='"required_snr_db": -67.046911831')
     add(*scn, "max-rate", "--n", "128", "--dm", "1e9")
     add(*scn, "max-rate", "--n", "64", "--dm", "1e-3", "--rate-step", "0.01", "--pm-db", "inf")
     add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--extrapolation", "clamp")
@@ -266,6 +277,26 @@ def capture(path: str) -> None:
     print(f"captured {len(results)} commands to {path}")
 
 
+def digest(result: dict) -> str:
+    """Hex sha256 of a run_commands() entry's exit code, stdout and stderr."""
+    return hashlib.sha256(json.dumps([result["rc"], result["stdout"], result["stderr"]]).encode()).hexdigest()
+
+
+def build() -> dict:
+    """The numpy, Python and platform build the outputs are computed on."""
+    import numpy
+
+    return {"numpy": numpy.__version__, "python": platform.python_version(),
+            "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def write_digests(path: str) -> None:
+    results = run_commands()
+    doc = {"build": build(), "digests": {" ".join(r["argv"]): digest(r) for r in results}}
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"stored {len(results)} digests in {path}")
+
+
 def diff(path_a: str, path_b: str) -> int:
     def load(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -297,6 +328,9 @@ def main(argv: list[str]) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         return diff(argv[1], argv[2])
+    if len(argv) == 2 and argv[0] == "digest":
+        write_digests(argv[1])
+        return 0
     print(__doc__, file=sys.stderr)
     return 2
 

@@ -248,53 +248,49 @@ def required_snr(
 
 def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> list[float]:
     """required_snr's b in dB for each valid (n, rate) row, as arrays:
-    each phase of the search runs on all rows, the rows it is done with
-    masked out."""
+    each phase of the search runs on the rows still open, and each round
+    drops the rows it closes."""
     n, rate = np.array(ns, dtype=float), np.array(rates)
-    rows = len(rates)
-    unknown = np.full((2, rows), np.nan)
 
-    def gap(db, mask):
-        """Rate minus target at db for the rows in mask, nan elsewhere.  The
-        rate is before its clamp at 0, which decides alike: the target is
-        positive."""
-        stats = unknown.copy()
-        stats[:, mask] = _info_density_stats(list(map(_linear, db[mask].tolist())), QUADRATURE_NODES)
-        return _unclamped_rate(n, backoff, *stats) - rate
+    def gap(db, n, rate):
+        """Rate minus target at db, elementwise.  The rate is before its
+        clamp at 0, which decides alike: the target is positive."""
+        c, v = _info_density_stats(list(map(_linear, db.tolist())), QUADRATURE_NODES)
+        return _unclamped_rate(n, backoff, c, v) - rate
 
     # The rate at the upper start is exactly 1 for every n and epsilon (V
     # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.
-    everywhere = np.ones(rows, dtype=bool)
-    b = np.full(rows, _START_DB[1])
-    yb = gap(b, everywhere)
-    a, ya = np.full(rows, _START_DB[0]), np.empty(rows)
-    stepping = everywhere
-    while np.count_nonzero(stepping):
-        y = gap(a, stepping)
-        met = y < 0.0
-        np.copyto(ya, y, where=met)
-        stepping = stepping & ~met
-        np.copyto(a, a - _STEP_DB, where=stepping)
-        if np.count_nonzero(stepping & (a < _FLOOR_DB)):  # every row gets there in the same round
-            raise ValueError(f"rate {rates[int(np.argmax(stepping))]} is reached at every SNR "
+    b = np.full(len(rates), _START_DB[1])
+    yb = gap(b, n, rate)
+    a = np.full(len(rates), _START_DB[0])
+    ya = gap(a, n, rate)
+    stepping = np.flatnonzero(ya >= 0.0)
+    while stepping.size:
+        a[stepping] -= _STEP_DB
+        if a[stepping[0]] < _FLOOR_DB:  # every stepping row has the same a
+            raise ValueError(f"rate {rates[stepping[0]]} is reached at every SNR "
                              f"down to {_FLOOR_DB:g} dB")
+        ya[stepping] = y = gap(a[stepping], n[stepping], rate[stepping])
+        stepping = stepping[y >= 0.0]
 
     # Illinois regula falsi in dB on rate - target, with ya < 0 <= yb: an
     # end that stays twice has its value halved, and a step that leaves
-    # the open bracket takes the midpoint.  yb - ya > 0 on every row.
-    live = b - a > _TOL_DB
-    was_low = was_high = ~everywhere  # the side of each row's last step
-    while np.count_nonzero(live):
+    # the open bracket takes the midpoint.  yb - ya > 0 on every row.  The
+    # arrays hold the open rows only; a row that closes writes its b out.
+    out, rows = np.empty(len(rates)), np.arange(len(rates))
+    was_low = was_high = np.zeros(len(rates), dtype=bool)  # the side of each row's last step
+    while rows.size:
         x = (a * yb - b * ya) / (yb - ya)
         x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        y = gap(x, live)
-        low, high = live & (y < 0.0), live & (y >= 0.0)
-        np.copyto(ya, ya * 0.5, where=high & was_high)
-        np.copyto(yb, yb * 0.5, where=low & was_low)
-        np.copyto(ya, y, where=low)
-        np.copyto(yb, y, where=high)
-        np.copyto(a, x, where=low)
-        np.copyto(b, x, where=high)
-        was_low, was_high = low, high
-        live = live & (b - a > _TOL_DB)
-    return b.tolist()
+        y = gap(x, n, rate)
+        low = y < 0.0
+        ya = np.where(low, y, np.where(was_high, ya * 0.5, ya))
+        yb = np.where(low, np.where(was_low, yb * 0.5, yb), y)
+        a, b = np.where(low, x, a), np.where(low, b, x)
+        was_low, was_high = low, ~low
+        open_ = b - a > _TOL_DB
+        if not open_.all():
+            out[rows[~open_]] = b[~open_]
+            state = (rows, n, rate, a, b, ya, yb, was_low, was_high)
+            rows, n, rate, a, b, ya, yb, was_low, was_high = (v[open_] for v in state)
+    return out.tolist()

@@ -21,9 +21,9 @@ import numpy as np
 
 from osdlat.fblmath import (
     QUADRATURE_NODES,
-    Snr,
     _blocks,
     _info_density_stats,
+    _linear,
     _unclamped_rate,
     q_inv,
     required_snr,
@@ -98,19 +98,24 @@ def _decode_window(n: int, cfg: ScenarioConfig) -> float:
     return cfg.budget.deadline - n * cfg.budget.symbol_time
 
 
-def _deadline_cost(n: int, k: int, cfg: ScenarioConfig) -> tuple[float, float, float]:
+def _deadline_cost(n: int, k: int, cfg: ScenarioConfig, laws: dict) -> tuple[float, float, float]:
     """(c_allowed, delta_rho_db, total latency) when the deadline caps decoding.
 
     The decoding window left after transmission allows c_allowed binary
     operations per information bit; the law prices that as a power
     penalty, inf when c_allowed <= 1.  A free decoder (binop_time 0) has
-    unlimited complexity, no penalty and latency n*T_s.
+    unlimited complexity, no penalty and latency n*T_s.  laws is the
+    sweep's table of (window, law constants) per blocklength, each entry
+    built when first needed, so a blocklength's probes all read one.
     """
     budget = cfg.budget
     if budget.binop_time == 0:
         return math.inf, 0.0, n * budget.symbol_time
-    c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
-    return c_allowed, complexity_to_penalty(c_allowed, cfg.law_params(n)), budget.deadline
+    if n not in laws:
+        laws[n] = _decode_window(n, cfg), cfg.law_params(n)
+    window, law = laws[n]
+    c_allowed = window / (k * budget.binop_time)
+    return c_allowed, complexity_to_penalty(c_allowed, law), budget.deadline
 
 
 def _deadline_points(
@@ -118,7 +123,10 @@ def _deadline_points(
 ) -> list[SweepPoint]:
     """Sweep rows for (n, k bits, rate) when the deadline caps decoding,
     with one required_snr call for the rows the law leaves feasible."""
-    costs = [_deadline_cost(n, k, cfg) for n, k, _ in rows]
+    costs = []
+    for block in _blocks(len(rows)):  # a table per block stays bounded however long the sweep
+        laws = {}
+        costs += [_deadline_cost(n, k, cfg, laws) for n, k, _ in rows[block]]
     priced = [row for row, (_, delta, _) in zip(rows, costs) if not math.isinf(delta)]
     reqs = iter(required_snr([row[0] for row in priced], cfg.epsilon, [row[2] for row in priced]))
     sweep = []
@@ -169,10 +177,10 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float):
+def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float, laws: dict):
     """Whether ks[i] bits fit at blocklength ns[i], for the rows in mask
     (False elsewhere), with one quadrature call; backoff is
-    q_inv(cfg.epsilon)."""
+    q_inv(cfg.epsilon) and laws the sweep's table."""
     fits = np.zeros(len(ns), dtype=bool)
     rows, rhos, rates = [], [], []
     for i in np.flatnonzero(mask).tolist():
@@ -180,16 +188,18 @@ def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backo
         rate = k / n
         if rate >= 1.0:
             continue
-        _, delta, _ = _deadline_cost(n, k, cfg)
-        snr_left = cfg.power_cap_db - delta
+        snr_left = cfg.power_cap_db - _deadline_cost(n, k, cfg, laws)[1]
         try:
-            rhos.append(Snr(snr_left).linear)
-        except ValueError:
-            # -inf or past either end of the linear scale: below it no rate
-            # fits, above it every rate below 1 does
+            rho = _linear(snr_left)
+        except OverflowError:
+            rho = math.inf
+        if not 0.0 < rho < math.inf:
+            # no linear value, as Snr(snr_left) has none: below the scale no
+            # rate fits, above it every rate below 1 does
             fits[i] = snr_left > 0
             continue
         rows.append(i)
+        rhos.append(rho)
         rates.append(rate)
     if rows:
         c, v = _info_density_stats(rhos, QUADRATURE_NODES)
@@ -200,17 +210,18 @@ def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backo
 
 def _max_ks(ns: Sequence[int], cfg: ScenarioConfig, backoff: float) -> list[int | None]:
     """The largest k that fits at each blocklength of ns, or None: binary
-    searches on k (feasibility is monotone in k), all rows at once."""
-    ns = list(ns)
+    searches on k (feasibility is monotone in k), all rows at once, each
+    blocklength's law built once."""
+    ns, laws = list(ns), {}
     lo, hi = np.ones(len(ns), dtype=int), np.array(ns)
     live = np.array([_decode_window(n, cfg) >= 0 for n in ns], dtype=bool)
-    found = live = _fits(ns, lo.tolist(), live, cfg, backoff)
+    found = live = _fits(ns, lo.tolist(), live, cfg, backoff, laws)
     while True:
         live = live & (lo < hi)
         if not np.count_nonzero(live):
             break
         mid = (lo + hi + 1) // 2
-        fits = _fits(ns, mid.tolist(), live, cfg, backoff)
+        fits = _fits(ns, mid.tolist(), live, cfg, backoff, laws)
         lo, hi = np.where(fits, mid, lo), np.where(live & ~fits, mid - 1, hi)
     return [k if ok else None for k, ok in zip(lo.tolist(), found.tolist())]
 

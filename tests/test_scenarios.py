@@ -14,7 +14,7 @@ from osdlat.scenarios import (
     maximize_k,
     minimize_latency,
 )
-from osdlat.tradeoff import complexity_to_penalty, params_for_blocklength
+from osdlat.tradeoff import TradeoffParams, complexity_to_penalty, params_for_blocklength
 
 TS = 1e-6
 TB = 1e-9
@@ -100,18 +100,21 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon))
+            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon), {})
             assert all(a or not b for a, b in zip(flags, flags[1:]))
 
     @staticmethod
     def _plain_max_k(cfg, n):
         """The largest k that fits at n, or None: a binary search on k, one
-        scalar rate at a time."""
+        scalar rate and one law_params call at a time."""
         def fits(k):
             rate = k / n
             if rate >= 1.0:
                 return False
-            snr_left = cfg.power_cap_db - scenarios._deadline_cost(n, k, cfg)[1]
+            tb = cfg.budget.binop_time
+            delta = 0.0 if tb == 0 else complexity_to_penalty(
+                scenarios._decode_window(n, cfg) / (k * tb), cfg.law_params(n))
+            snr_left = cfg.power_cap_db - delta
             try:
                 snr = Snr(snr_left)
             except ValueError:
@@ -126,20 +129,42 @@ class TestMaximizeK:
             lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
         return lo
 
+    @pytest.mark.parametrize("law", [
+        {"params_extrapolation": "power"},
+        {"params_extrapolation": "clamp"},
+        {"params_override": TradeoffParams(a=0.05, b=0.03, gamma_fit=0.4, n_anchor=64)},
+    ], ids=["power", "clamp", "override"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_a_plain_search_per_blocklength(self, monkeypatch, seed):
+    def test_equals_a_plain_search_per_blocklength(self, monkeypatch, seed, law):
         rng = np.random.default_rng(seed)
         dm = float(rng.choice([1e-3, 2e-3]))
-        # the last two blocklengths leave a negative decode window
+        # the seeds draw n <= 64, 64 < n < 128 and n > 128; the last two
+        # blocklengths leave a negative decode window
         ns = sorted({int(n) for n in rng.integers(2, 1500, 40)} | {round(dm / TS) + 1, round(dm / TS) + 200})
         cfg = ScenarioConfig(
             budget=budget(dm, tb=float(rng.choice([0.0, 0.1e-9, 1e-9, 10e-9]))),
             epsilon=float(10.0 ** rng.uniform(-9.0, -1.0)),
             power_cap_db=float(rng.uniform(-6.0, 12.0)),
+            **law,
         )
         monkeypatch.setattr(fblmath, "_ROWS", 16)
         ks = [pt.k for pt in maximize_k(cfg, ns).sweep]
         assert ks == [self._plain_max_k(cfg, n) for n in ns]
+
+    def test_each_law_built_once_per_blocklength(self, monkeypatch):
+        builds = []
+
+        def counted(n, extrapolation="power"):
+            builds.append(n)
+            return params_for_blocklength(n, extrapolation)
+
+        monkeypatch.setattr(scenarios, "params_for_blocklength", counted)
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0)
+        result = maximize_k(cfg, range(100, 228))
+        assert result.optimum is not None
+        # the search's table and the feasible rows' pricing; a build per
+        # probe of the binary searches makes 1,202
+        assert 128 <= len(builds) <= 2 * 128
 
     @pytest.mark.parametrize("cap, tb, ns, want", [
         # k = 1 needs more than the cap

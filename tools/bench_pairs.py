@@ -24,11 +24,13 @@ or more, so one-batch sweeps such as ``mc_sweep_parallel``'s run in-process,
 and its median wall time next to ``mc_sweep``'s shows only that.
 An analytic-layers block times, in fresh processes, the median cold
 scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold 128-row
-``minimize_latency`` sweep, and the wall time and peak RSS of the cold
-max-k command ``MAX_K_ARGV``: ``CLI_SAMPLES`` samples per side, sides
-alternating, each recorded with the medians.  Next to the two times it
-records the quadratures each computes (``_info_density_stats``' misses):
-the median over ``SCALAR_PAIRS`` of a cold call, and the sweep's.
+``minimize_latency`` sweep, a cold 128-row ``maximize_k`` sweep at
+T_b = 1e-9 s (the law prices every probe of its searches), and the wall
+time and peak RSS of the cold max-k command ``MAX_K_ARGV`` (T_b = 0, so
+no law): ``CLI_SAMPLES`` samples per side, sides alternating, each
+recorded with the medians.  Next to the three times it records the
+quadratures each computes (``_info_density_stats``' misses): the median
+over ``SCALAR_PAIRS`` of a cold call, and each sweep's.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -100,17 +102,26 @@ for _ in range(repeats):
         fblmath.required_snr(*pair)
         scalar.append(time.perf_counter() - start)
         scalar_quadratures.append(stats.cache_info().misses)
-cfg = scenarios.ScenarioConfig(budget=LatencyBudget(1e-3, 1e-6, 1e-9), epsilon=1e-3, power_cap_db=8.0)
-sweep = []
-for _ in range(repeats):
-    stats.cache_clear()
-    start = time.perf_counter()
-    scenarios.minimize_latency(cfg, 64, range(64, 192))
-    sweep.append(time.perf_counter() - start)
+
+# median seconds of repeats cold runs of run(cfg), and the quadratures one run computes
+def cold_sweep(run, cap_db):
+    cfg = scenarios.ScenarioConfig(budget=LatencyBudget(1e-3, 1e-6, 1e-9), epsilon=1e-3, power_cap_db=cap_db)
+    seconds = []
+    for _ in range(repeats):
+        stats.cache_clear()
+        start = time.perf_counter()
+        run(cfg)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), stats.cache_info().misses
+
+min_latency = cold_sweep(lambda cfg: scenarios.minimize_latency(cfg, 64, range(64, 192)), 8.0)
+max_k = cold_sweep(lambda cfg: scenarios.maximize_k(cfg, range(100, 228)), 5.0)
 print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scalar),
                   "scalar_required_snr_median_quadratures": statistics.median(scalar_quadratures),
-                  "min_latency_128_rows_median_ms": 1e3 * statistics.median(sweep),
-                  "min_latency_128_rows_quadratures": stats.cache_info().misses,
+                  "min_latency_128_rows_median_ms": 1e3 * min_latency[0],
+                  "min_latency_128_rows_quadratures": min_latency[1],
+                  "max_k_128_rows_median_ms": 1e3 * max_k[0],
+                  "max_k_128_rows_quadratures": max_k[1],
                   "repeats": repeats}))
 """
 PEAK_RSS_SNIPPET = """
@@ -211,7 +222,7 @@ def suites(side: Path) -> dict:
 
 
 def analytic_sample(side: Path) -> dict:
-    """The scalar call and the 128-row sweep in one fresh process, and the cold max-k command in another."""
+    """The scalar call and the two 128-row sweeps in one fresh process, and the cold max-k command in another."""
     proc = subprocess.run([sys.executable, "-c", ANALYTIC_SNIPPET, json.dumps(SCALAR_PAIRS)], cwd=side,
                           env=side_env(side), check=True, capture_output=True, text=True)
     record = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -233,8 +244,8 @@ def analytic_layers(sides: dict) -> dict:
         for side in sides_in_turn(i):
             samples[side].append(analytic_sample(sides[side]))
     metrics = ("scalar_required_snr_median_ms", "scalar_required_snr_median_quadratures",
-               "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures", "max_k_wall_s",
-               "max_k_peak_rss_mb")
+               "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures",
+               "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "max_k_wall_s", "max_k_peak_rss_mb")
     return {"max_k_argv": list(MAX_K_ARGV),
             **{side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}
                for side, runs in samples.items()}}

@@ -192,6 +192,8 @@ def command_set() -> list[Case]:
     add(*scn, "min-latency", "--k", "64", "--pm-db=nan", "--n-range", "64:80", rc=3, err="power_cap_db")
     add(*scn, "min-latency", "--k", "64", "--pm-db", "5", "--extrapolation", "clamp",
         "--params-file", "{tmp}/params.json")
+    # one law set for every blocklength of a max-k sweep
+    add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--n-step", "9", "--params-file", "{tmp}/params.json")
     add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file", "{tmp}/absent", rc=2, err="cannot read")
     add(*scn, "max-k", "--dm", "1e-3", "--pm-db", "5", "--params-file", "{tmp}/empty", rc=3, err="Expecting value")
     add(*scn, "max-k", "--pm-db", "5", "--params-file", "{tmp}/params_tiny_b.json", rc=3, err="1/1024")

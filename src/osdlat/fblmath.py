@@ -50,11 +50,7 @@ class Snr:
     def __post_init__(self):
         if not math.isfinite(self.db):
             raise ValueError(f"SNR must be finite, got {self.db} dB")
-        try:
-            linear = self.linear
-        except OverflowError:
-            linear = math.inf
-        if not 0.0 < linear < math.inf:
+        if _checked_linear(self.db) is None:
             raise ValueError(f"SNR {self.db} dB has no finite positive linear value")
 
     @property
@@ -64,6 +60,15 @@ class Snr:
 
 def _linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _checked_linear(db: float) -> float | None:
+    """10^(db/10) if it is a finite positive float, else None; an overflow counts as +inf."""
+    try:
+        linear = _linear(db)
+    except OverflowError:
+        return None
+    return linear if 0.0 < linear < math.inf else None
 
 
 def validate_epsilon(epsilon: float) -> float:
@@ -170,10 +175,12 @@ def biawgn_dispersion(snr: Snr, nodes: int = QUADRATURE_NODES) -> float:
     return float(v[0])
 
 
-def _unclamped_rate(n, backoff: float, c_nats, v):
-    """The rate in bits before its clamp at 0, elementwise over arrays of
-    n, capacity and dispersion in nats."""
-    return (c_nats - np.sqrt(v / n) * backoff) * LOG2E
+def _rate_gap(n, backoff: float, rhos: Sequence[float], rates, nodes: int = QUADRATURE_NODES):
+    """The rate in bits before its clamp at 0, minus the target rates, as an
+    array over the linear SNRs rhos, elementwise with n and rates.  With a
+    positive target its sign decides as the clamped rate's would."""
+    c_nats, v = _info_density_stats(rhos, nodes)
+    return (c_nats - np.sqrt(v / n) * backoff) * LOG2E - rates
 
 
 def normal_approx_rate(
@@ -190,8 +197,7 @@ def normal_approx_rate(
     backoff = q_inv(validate_epsilon(epsilon))
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    rate = _unclamped_rate(n, backoff, *_info_density_stats([snr.linear], nodes))
-    return max(float(rate[0]), 0.0)
+    return max(float(_rate_gap(n, backoff, [snr.linear], 0.0, nodes)[0]), 0.0)
 
 
 def _blocks(rows: int):
@@ -253,10 +259,7 @@ def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> 
     n, rate = np.array(ns, dtype=float), np.array(rates)
 
     def gap(db, n, rate):
-        """Rate minus target at db, elementwise.  The rate is before its
-        clamp at 0, which decides alike: the target is positive."""
-        c, v = _info_density_stats(list(map(_linear, db.tolist())), QUADRATURE_NODES)
-        return _unclamped_rate(n, backoff, c, v) - rate
+        return _rate_gap(n, backoff, list(map(_linear, db.tolist())), rate)
 
     # The rate at the upper start is exactly 1 for every n and epsilon (V
     # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.

@@ -13,22 +13,14 @@ complexity/penalty law:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from osdlat.fblmath import (
-    QUADRATURE_NODES,
-    _blocks,
-    _info_density_stats,
-    _linear,
-    _unclamped_rate,
-    q_inv,
-    required_snr,
-    validate_epsilon,
-)
+from osdlat.fblmath import _blocks, _checked_linear, _rate_gap, q_inv, required_snr, validate_epsilon
 from osdlat.oscomplexity import LatencyBudget, total_latency
 from osdlat.tradeoff import (
     EXTRAPOLATIONS,
@@ -98,24 +90,19 @@ def _decode_window(n: int, cfg: ScenarioConfig) -> float:
     return cfg.budget.deadline - n * cfg.budget.symbol_time
 
 
-def _deadline_cost(n: int, k: int, cfg: ScenarioConfig, laws: dict) -> tuple[float, float, float]:
+def _deadline_cost(n: int, k: int, cfg: ScenarioConfig, law) -> tuple[float, float, float]:
     """(c_allowed, delta_rho_db, total latency) when the deadline caps decoding.
 
     The decoding window left after transmission allows c_allowed binary
-    operations per information bit; the law prices that as a power
-    penalty, inf when c_allowed <= 1.  A free decoder (binop_time 0) has
-    unlimited complexity, no penalty and latency n*T_s.  laws is the
-    sweep's table of (window, law constants) per blocklength, each entry
-    built when first needed, so a blocklength's probes all read one.
+    operations per information bit; the constants law(n) price that as a
+    power penalty, inf when c_allowed <= 1.  A free decoder (binop_time 0)
+    has unlimited complexity, no penalty and latency n*T_s.
     """
     budget = cfg.budget
     if budget.binop_time == 0:
         return math.inf, 0.0, n * budget.symbol_time
-    if n not in laws:
-        laws[n] = _decode_window(n, cfg), cfg.law_params(n)
-    window, law = laws[n]
-    c_allowed = window / (k * budget.binop_time)
-    return c_allowed, complexity_to_penalty(c_allowed, law), budget.deadline
+    c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
+    return c_allowed, complexity_to_penalty(c_allowed, law(n)), budget.deadline
 
 
 def _deadline_points(
@@ -124,9 +111,9 @@ def _deadline_points(
     """Sweep rows for (n, k bits, rate) when the deadline caps decoding,
     with one required_snr call for the rows the law leaves feasible."""
     costs = []
-    for block in _blocks(len(rows)):  # a table per block stays bounded however long the sweep
-        laws = {}
-        costs += [_deadline_cost(n, k, cfg, laws) for n, k, _ in rows[block]]
+    for block in _blocks(len(rows)):  # a law cache per block stays bounded however long the sweep
+        law = functools.cache(cfg.law_params)
+        costs += [_deadline_cost(n, k, cfg, law) for n, k, _ in rows[block]]
     priced = [row for row, (_, delta, _) in zip(rows, costs) if not math.isinf(delta)]
     reqs = iter(required_snr([row[0] for row in priced], cfg.epsilon, [row[2] for row in priced]))
     sweep = []
@@ -177,34 +164,28 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float, laws: dict):
+def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float, law):
     """Whether ks[i] bits fit at blocklength ns[i], for the rows in mask
     (False elsewhere), with one quadrature call; backoff is
-    q_inv(cfg.epsilon) and laws the sweep's table."""
+    q_inv(cfg.epsilon) and law the sweep's cached cfg.law_params."""
     fits = np.zeros(len(ns), dtype=bool)
-    rows, rhos, rates = [], [], []
+    rows, rhos = [], []
     for i in np.flatnonzero(mask).tolist():
         n, k = ns[i], ks[i]
-        rate = k / n
-        if rate >= 1.0:
+        if k >= n:
             continue
-        snr_left = cfg.power_cap_db - _deadline_cost(n, k, cfg, laws)[1]
-        try:
-            rho = _linear(snr_left)
-        except OverflowError:
-            rho = math.inf
-        if not 0.0 < rho < math.inf:
+        snr_left = cfg.power_cap_db - _deadline_cost(n, k, cfg, law)[1]
+        rho = _checked_linear(snr_left)
+        if rho is None:
             # no linear value, as Snr(snr_left) has none: below the scale no
             # rate fits, above it every rate below 1 does
             fits[i] = snr_left > 0
             continue
         rows.append(i)
         rhos.append(rho)
-        rates.append(rate)
     if rows:
-        c, v = _info_density_stats(rhos, QUADRATURE_NODES)
-        # the rate before its clamp at 0 decides alike: the target is positive
-        fits[rows] = _unclamped_rate(np.array([ns[i] for i in rows], dtype=float), backoff, c, v) >= rates
+        n, k = np.array([ns[i] for i in rows]), np.array([ks[i] for i in rows])
+        fits[rows] = _rate_gap(n, backoff, rhos, k / n) >= 0.0
     return fits
 
 
@@ -212,16 +193,16 @@ def _max_ks(ns: Sequence[int], cfg: ScenarioConfig, backoff: float) -> list[int 
     """The largest k that fits at each blocklength of ns, or None: binary
     searches on k (feasibility is monotone in k), all rows at once, each
     blocklength's law built once."""
-    ns, laws = list(ns), {}
+    ns, law = list(ns), functools.cache(cfg.law_params)
     lo, hi = np.ones(len(ns), dtype=int), np.array(ns)
     live = np.array([_decode_window(n, cfg) >= 0 for n in ns], dtype=bool)
-    found = live = _fits(ns, lo.tolist(), live, cfg, backoff, laws)
+    found = live = _fits(ns, lo.tolist(), live, cfg, backoff, law)
     while True:
         live = live & (lo < hi)
         if not np.count_nonzero(live):
             break
         mid = (lo + hi + 1) // 2
-        fits = _fits(ns, mid.tolist(), live, cfg, backoff, laws)
+        fits = _fits(ns, mid.tolist(), live, cfg, backoff, law)
         lo, hi = np.where(fits, mid, lo), np.where(live & ~fits, mid - 1, hi)
     return [k if ok else None for k, ok in zip(lo.tolist(), found.tolist())]
 

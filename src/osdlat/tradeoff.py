@@ -19,6 +19,7 @@ sweeps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,9 +47,9 @@ class TradeoffParams:
         if not 1.0 / self.b < 1024:
             raise ValueError(f"law constant b must exceed 1/1024 so that 2^(1/b) is finite, got b={self.b}")
 
-    @property
+    @functools.cached_property
     def max_complexity(self) -> float:
-        """Complexity the law assigns to a zero penalty, 2^(1/b)."""
+        """Complexity the law assigns to a zero penalty, 2^(1/b), computed once per law set."""
         return 2.0 ** (1.0 / self.b)
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import importlib
 import itertools
+import json
 import math
 import multiprocessing
 import pickle
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -96,6 +99,11 @@ class TestConstruction:
             build_ebch(10, 5)
         with pytest.raises(ConstructionError):
             build_ebch(8, 8)
+
+    def test_roots_that_are_no_union_of_cosets(self):
+        # alpha alone is not a cyclotomic coset: x - alpha has a coefficient outside GF(2)
+        with pytest.raises(ConstructionError, match="non-binary"):
+            codecsim._generator_poly([1], *codecsim._gf_tables(3))
 
 
 class TestSharedCode:
@@ -218,6 +226,10 @@ class TestTransmit:
         a = transmit(code84, cw, Snr(2.0), np.random.default_rng(9))
         b = transmit(code84, cw, Snr(2.0), np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    def test_wrong_length_codeword_rejected(self, code84):
+        with pytest.raises(ValueError, match="length n=8"):
+            transmit(code84, np.zeros(7, dtype=np.uint8), Snr(2.0), np.random.default_rng(9))
 
 
 class TestOsdDecode:
@@ -367,6 +379,10 @@ class TestRequiredSnrSim:
         assert not thr.reached
         assert math.isnan(thr.snr_db)
         assert len(thr.sweep) == int(codecsim.SWEEP_SPAN_DB / 0.25) + 1 == 61
+
+    def test_grid_step_must_be_positive(self, code84):
+        with pytest.raises(ValueError, match="grid_db must be positive, got 0"):
+            required_snr_sim(code84, 0, 2e-2, grid_db=0)
 
 
 
@@ -841,3 +857,16 @@ class TestTrialDraws:
         got_messages, got_noise = codecsim._trial_draws(rng, k, n, size)
         assert np.array_equal(got_messages, messages.astype(bool))
         assert np.array_equal(got_noise.view(np.uint64), noise.view(np.uint64))
+
+
+def test_decisions_match_stored_digests(monkeypatch):
+    """osd_decode's decisions on tools/decision_diff.py's seeded words, DIGEST_WORDS per point
+    (142,080 in all), against tests/decision_digests.json; a mismatch names the moved code and
+    order and both builds, since the floats depend on the numpy build."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    tool = importlib.import_module("decision_diff")
+    stored = json.loads(Path(__file__).with_name("decision_digests.json").read_text(encoding="utf-8"))
+    got = tool.digests(tool.decide(stored["words"]))
+    moved = sorted(name for name in got.keys() | stored["digests"].keys()
+                   if got.get(name) != stored["digests"].get(name))
+    assert moved == [], f"decisions moved at {moved}: stored on build {stored['build']}, this build is {tool.build()}"

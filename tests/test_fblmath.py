@@ -383,8 +383,7 @@ class TestRequiredSnrContract:
     def test_upper_start_reaches_every_rate(self, n, epsilon):
         # required_snr never moves its upper end, and the oracle never steps
         # its own up: the rate before the clamp is exactly 1 at 40 dB
-        stats = stats_pairs([Snr(fblmath._START_DB[1]).linear])[0]
-        assert fblmath._unclamped_rate(n, q_inv(epsilon), *stats) == 1.0
+        assert fblmath._rate_gap(n, q_inv(epsilon), [Snr(fblmath._START_DB[1]).linear], 0.0)[0] == 1.0
 
     def test_every_k_over_n_of_small_blocklengths(self):
         # one sequence call per (n, epsilon); test_meets_the_contract and the
@@ -541,9 +540,8 @@ class TestRoundingError:
         mean_g = norm * mp.fsum(exact(wi) * gi for wi, gi in zip(w, g))
         v = norm * mp.fsum(exact(wi) * (gi - mean_g) ** 2 for wi, gi in zip(w, g))
         c_nats = max(ln2 - mean_g, 0)
-        stats = stats_pairs([fblmath._linear(db)])[0]
         for n, epsilon in ((1, 1e-12), (128, 1e-3), (10**6, 1e-3), (1, 0.99), (10**6, 0.99)):
             backoff = q_inv(epsilon)
             want = (c_nats - mp.sqrt(v / n) * exact(backoff)) * exact(fblmath.LOG2E)
-            got = fblmath._unclamped_rate(n, backoff, *stats)
+            got = fblmath._rate_gap(n, backoff, [fblmath._linear(db)], 0.0)[0]
             assert abs(got - want) <= 16 * 2.0**-53 * max(1, abs(want)), (n, epsilon)

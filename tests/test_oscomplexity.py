@@ -185,6 +185,10 @@ class TestLatency:
         free = LatencyBudget(deadline=1e-3, symbol_time=1e-6, binop_time=0.0)
         assert total_latency(128, 64, 1e12, free) == pytest.approx(128e-6)
 
+    def test_negative_complexity_rejected(self):
+        with pytest.raises(ValueError, match="c >= 0"):
+            total_latency(128, 64, -1.0, BUDGET)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             LatencyBudget(deadline=0.0, symbol_time=1e-6, binop_time=1e-9)

@@ -100,7 +100,8 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon), {})
+            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon),
+                                    cfg.law_params)
             assert all(a or not b for a, b in zip(flags, flags[1:]))
 
     @staticmethod
@@ -162,7 +163,7 @@ class TestMaximizeK:
         cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0)
         result = maximize_k(cfg, range(100, 228))
         assert result.optimum is not None
-        # the search's table and the feasible rows' pricing; a build per
+        # the search's law cache and the feasible rows' pricing; a build per
         # probe of the binary searches makes 1,202
         assert 128 <= len(builds) <= 2 * 128
 

@@ -27,10 +27,14 @@ scalar ``required_snr`` call over ``SCALAR_PAIRS``, a cold 128-row
 ``minimize_latency`` sweep, a cold 128-row ``maximize_k`` sweep at
 T_b = 1e-9 s (the law prices every probe of its searches), and the wall
 time and peak RSS of the cold max-k command ``MAX_K_ARGV`` (T_b = 0, so
-no law): ``CLI_SAMPLES`` samples per side, sides alternating, each
-recorded with the medians.  Next to the three times it records the
-quadratures each computes (``_info_density_stats``' misses): the median
-over ``SCALAR_PAIRS`` of a cold call, and each sweep's.
+no law), run with glibc's mmap threshold fixed at ``MMAP_THRESHOLD``
+bytes: ``CLI_SAMPLES`` samples per side, sides alternating, each
+recorded with the medians.  A second run of that command records
+``tracemalloc``'s peak, which does not depend on the allocator; traced,
+the same process would read several times the RSS and take longer.
+Next to the three times it records the quadratures each computes
+(``_info_density_stats``' misses): the median over ``SCALAR_PAIRS`` of a
+cold call, and each sweep's.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -124,14 +128,22 @@ print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scala
                   "max_k_128_rows_quadratures": max_k[1],
                   "repeats": repeats}))
 """
+# MALLOC_MMAP_THRESHOLD_ of the max-k runs: a fixed threshold stops glibc from
+# raising it as blocks are freed, which spread one tree's peak RSS over 133-140 MB
+MMAP_THRESHOLD = 131072
+# argv[1] is "rss" for an untraced run or "tracemalloc" for a traced one
 PEAK_RSS_SNIPPET = """
-import contextlib, json, os, resource, sys
+import contextlib, json, os, resource, sys, tracemalloc
 from osdlat import cli
 
+traced = sys.argv[1] == "tracemalloc"
+if traced:
+    tracemalloc.start()
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-    code = cli.main(sys.argv[1:])
+    code = cli.main(sys.argv[2:])
 print(json.dumps({"returncode": code,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  "tracemalloc_peak_mb": tracemalloc.get_traced_memory()[1] / 2**20 if traced else None}))
 """
 
 
@@ -222,18 +234,25 @@ def suites(side: Path) -> dict:
 
 
 def analytic_sample(side: Path) -> dict:
-    """The scalar call and the two 128-row sweeps in one fresh process, and the cold max-k command in another."""
+    """The scalar call and the two 128-row sweeps in one fresh process, and the cold max-k
+    command in two more: one untraced, one under tracemalloc."""
     proc = subprocess.run([sys.executable, "-c", ANALYTIC_SNIPPET, json.dumps(SCALAR_PAIRS)], cwd=side,
                           env=side_env(side), check=True, capture_output=True, text=True)
     record = json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def max_k(mode: str) -> dict:
+        env = {**side_env(side), "MALLOC_MMAP_THRESHOLD_": str(MMAP_THRESHOLD)}
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SNIPPET, mode, *MAX_K_ARGV], cwd=side,
+                              env=env, check=True, capture_output=True, text=True)
+        run = json.loads(proc.stdout.strip().splitlines()[-1])
+        if run["returncode"] != 0:
+            raise RuntimeError(f"osdlat {' '.join(MAX_K_ARGV)} in {side} exited {run['returncode']}")
+        return run
+
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SNIPPET, *MAX_K_ARGV], cwd=side,
-                          env=side_env(side), check=True, capture_output=True, text=True)
-    max_k = json.loads(proc.stdout.strip().splitlines()[-1])
-    if max_k["returncode"] != 0:
-        raise RuntimeError(f"osdlat {' '.join(MAX_K_ARGV)} in {side} exited {max_k['returncode']}")
+    record["max_k_peak_rss_mb"] = max_k("rss")["peak_rss_mb"]
     record["max_k_wall_s"] = time.perf_counter() - start
-    record["max_k_peak_rss_mb"] = max_k["peak_rss_mb"]
+    record["max_k_tracemalloc_peak_mb"] = max_k("tracemalloc")["tracemalloc_peak_mb"]
     return record
 
 
@@ -245,7 +264,8 @@ def analytic_layers(sides: dict) -> dict:
             samples[side].append(analytic_sample(sides[side]))
     metrics = ("scalar_required_snr_median_ms", "scalar_required_snr_median_quadratures",
                "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures",
-               "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "max_k_wall_s", "max_k_peak_rss_mb")
+               "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "max_k_wall_s", "max_k_peak_rss_mb",
+               "max_k_tracemalloc_peak_mb")
     return {"max_k_argv": list(MAX_K_ARGV),
             **{side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}
                for side, runs in samples.items()}}

@@ -65,6 +65,8 @@ INPUT_FILES = {
     "cfg_not_json.json": "{not json\n",
     "cfg_array.json": "[1, 2]\n",
     "cfg_null.json": '{"n": null}\n',
+    "points_negative.csv": "delta_rho_db,c\n0.5,4096\n-1.0,900\n2.0,210\n4.0,60\n",
+    "points_rising.csv": "delta_rho_db,c\n0.5,25\n1.0,60\n2.0,210\n4.0,900\n6.0,4096\n",
     "empty": "",
 }
 
@@ -115,6 +117,10 @@ def command_set() -> list[Case]:
     add("tradeoff", "--fit", "{tmp}/points_nan.csv", rc=3, err="penalty point must be finite")
     # a fit point at c = 1, an infinite penalty, and a b whose 2^(1/b) overflows
     add("tradeoff", "--fit", "{tmp}/points_c1.csv", rc=3, err="complexity must be > 1, got 1.0")
+    # a negative penalty, a c that rises with the penalty (the fit's a < 0) and a document that is no object
+    add("tradeoff", "--fit", "{tmp}/points_negative.csv", rc=3, err="penalty must be >= 0, got -1.0")
+    add("tradeoff", "--fit", "{tmp}/points_rising.csv", rc=3, err="non-positive constants")
+    add("tradeoff", "--params-file", "{tmp}/cfg_array.json", rc=3, err="must be a JSON object")
     add("tradeoff", "--params-file", "{tmp}/params_tiny_b.json", rc=3, err="1/1024")
     add("tradeoff", "--params-file", "{tmp}/empty", rc=3, err="Expecting value")
     # input files that cannot be read
@@ -156,6 +162,9 @@ def command_set() -> list[Case]:
     add(*sim, "--order", "0", rc=3, err="simulate needs --snr-db or --eps")
     add(*sim, "--order", "0", "--snr-db", "3", "--seed=-1", rc=3, err="--seed")
     add(*sim, "--order", "0", "--eps", "1e-2", "--seed=-1", "--max-trials", "10", rc=3, err="--seed")
+    # stopping rules that admit no trial
+    add(*sim, "--order", "1", "--snr-db", "3", "--min-errors", "0", rc=3, err="min_errors and max_trials")
+    add(*sim, "--order", "1", "--snr-db", "3", "--max-trials", "0", rc=3, err="min_errors and max_trials")
 
     scn = ("scenario", "--which")
     for eps in EPSILONS:
@@ -216,12 +225,16 @@ def command_set() -> list[Case]:
     # rate grids of 10^7 rows, and of a step so small that the row count is infinite
     add(*scn, "max-rate", "--n", "128", "--rate-step", "1e-7", rc=3, err="--rate-step")
     add(*scn, "max-rate", "--n", "128", "--rate-step", "5e-324", rc=3, err="--rate-step")
+    # rate steps at either end of (0, 1)
+    for step in ("0", "1"):
+        add(*scn, "max-rate", "--n", "128", "--dm", "1e-3", "--rate-step", step, rc=3, err="rate_step must be in (0, 1)")
 
     add("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", rc=3, err="start:stop:step")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "5:1:1", rc=3,
         err="range needs stop >= start and step > 0, got '5:1:1'")
     add("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=2, err=("usage: osdlat rate", "--n"))
+    add("rate", "--n", "0", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=3, err="blocklength must be >= 1")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", rc=3, err="finite")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", rc=3, err="rows")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "3000:3100:50", rc=3, err="linear")

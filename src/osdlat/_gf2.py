@@ -1,4 +1,4 @@
-"""Gauss-Jordan elimination over GF(2) on bit-packed vectors.
+"""Gauss-Jordan elimination and products over GF(2) on bit-packed vectors.
 
 A vector of n bits is packed into ceil(n / 64) uint64 words: bit c is bit
 c % 64 of word c // 64 (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS
@@ -29,9 +29,14 @@ def unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :n]
 
 
-def xor_rows(rows: np.ndarray, select: np.ndarray) -> np.ndarray:
-    """XOR of the packed rows (..., k, W) that each selection (..., k) picks."""
-    return np.bitwise_xor.reduce(np.where(select[..., None], rows, np.uint64(0)), axis=-2)
+def product(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Packed vectors (..., W) times packed rows (m, W) over GF(2): (..., m) uint8 bits, bit i
+    the parity of the popcount of vector AND row i, whose W words are XORed into one first."""
+    vectors = vectors[..., None, :]
+    acc = vectors[..., 0] & rows[:, 0]
+    for w in range(1, rows.shape[1]):
+        acc ^= vectors[..., w] & rows[:, w]
+    return np.bitwise_count(acc) & np.uint8(1)
 
 
 def systematic_with_permutation(columns: np.ndarray, height: int, col_orders: np.ndarray, tail=None):

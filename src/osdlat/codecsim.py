@@ -108,7 +108,7 @@ class CodeSpec:
 
     @functools.cached_property
     def reduced(self):
-        """(J, packed rows of inv(G[:, J]), packed columns of a parity-check matrix H).
+        """(J, packed columns of inv(G[:, J]), packed columns and packed rows of a parity-check matrix H).
 
         Computed on first use and kept in the instance __dict__, so it is
         pickled along with the code.  One elimination of the columns of
@@ -118,7 +118,7 @@ class CodeSpec:
         whose rows in pivot order are inv(G[:, J]).  Column j's coordinates
         give the parity check c_j = sum of c_J over them, one row of H.  A
         pivot inside the identity block means G is rank deficient:
-        ValueError.  The three arrays are read-only.
+        ValueError.  The four arrays are read-only.
         """
         k, n = self.generator.shape
         aug = np.concatenate([self.generator, np.eye(k, dtype=np.uint8)], axis=1)
@@ -132,10 +132,17 @@ class CodeSpec:
         checks = np.zeros((n - k, n), dtype=np.uint8)
         checks[np.arange(n - k), others] = 1
         checks[:, pivots] = reduced[np.ix_(others, pivot_rows)]
-        arrays = pivots, _gf2.pack(reduced[n:, pivot_rows].T), _gf2.pack(checks.T)
+        arrays = pivots, _gf2.pack(reduced[n:, pivot_rows]), _gf2.pack(checks.T), _gf2.pack(checks)
         for array in arrays:
             array.flags.writeable = False
         return arrays
+
+    @functools.cached_property
+    def generator_columns(self):
+        """The packed columns of G, encode's operand: read-only, kept and pickled as reduced is."""
+        columns = _gf2.pack(self.generator.T)
+        columns.flags.writeable = False
+        return columns
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,8 +183,8 @@ def build_ebch(n: int, k: int) -> CodeSpec:
     rows[:, n_cyclic] = rows[:, :n_cyclic].sum(axis=1) % 2
     rows.flags.writeable = False
     code = CodeSpec(n=n, k=k, d_min=d_min, generator=rows)
-    try:
-        code.reduced  # reduce now, so that a rank-deficient generator fails construction
+    try:  # reduce and pack now: a rank-deficient generator fails, and pool workers receive both
+        code.reduced, code.generator_columns
     except ValueError:
         raise ConstructionError(f"generator for (n={n}, k={k}) is rank deficient") from None
     return code
@@ -188,13 +195,15 @@ def encode(code: CodeSpec, msg: np.ndarray) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.ndim not in (1, 2) or msg.shape[-1] != code.k:
         raise ValueError(f"message must have shape (k,) or (B, k) with k={code.k}, got shape {msg.shape}")
-    return _gf2.unpack(_gf2.xor_rows(_gf2.pack(code.generator), msg & 1), code.n)
+    return _gf2.product(_gf2.pack(msg & 1), code.generator_columns)
 
 
 def message_from_codeword(code: CodeSpec, codeword: np.ndarray) -> np.ndarray:
     """The unique message encoding to the given codeword (n,), or to each row of (B, n)."""
-    j_cols, inverse, _ = code.reduced
-    return _gf2.unpack(_gf2.xor_rows(inverse, codeword[..., j_cols] != 0), code.k)
+    if np.ndim(codeword) not in (1, 2) or np.shape(codeword)[-1] != code.n:
+        raise ValueError(f"codeword must have shape (n,) or (B, n) with n={code.n}, got {np.shape(codeword)}")
+    j_cols, inverse = code.reduced[:2]
+    return _gf2.product(_gf2.pack(np.asarray(codeword)[..., j_cols] != 0), inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +445,21 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, k={code.k}], got {order}")
     shape = np.shape(y)
+    if len(shape) not in (1, 2) or shape[-1] != code.n:
+        raise ValueError(f"received words must have shape (n,) or (B, n) with n={code.n}, got shape {shape}")
     y = np.atleast_2d(y)
     batch, n = y.shape
     height = n - code.k
-    words = np.arange(batch)[:, None]
     reliability = np.abs(y)
     # a row whose sorted |y| strictly increase has one ascending order;
     # rows with ties (+-0 among them) or NaN, where > is false, sort again
     least_reliable_first = np.argsort(reliability, axis=1)
-    ordered = np.take_along_axis(reliability, least_reliable_first, axis=1)
+    ordered = np.sort(reliability, axis=1)
     tied = np.flatnonzero(~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1))
     least_reliable_first[tied] = np.argsort(-reliability[tied], axis=1, kind="stable")[:, ::-1]
     hard = y < 0
-    checks = code.reduced[2]
-    tail = _gf2.xor_rows(checks, hard)
+    _, _, checks, check_rows = code.reduced
+    tail = _gf2.pack(_gf2.product(_gf2.pack(hard), check_rows))
     steps = n if order else min(n, height + _ORDER0_MARGIN)
     try:
         reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first[:, :steps],
@@ -457,16 +467,16 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
     except ValueError:  # some word's prefix lacks rank
         steps = n
         reduced, rows = _gf2.systematic_with_permutation(checks, height, least_reliable_first, tail=tail)
-    rows = np.pad(rows, ((0, n - steps), (0, 0)), constant_values=-1)  # no pivots past the prefix
-    # steps by role: the least reliable basis by pivot row, then the most
-    # reliable basis, the steps without a pivot, last (most reliable) first
-    by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
-    positions = least_reliable_first[words, by_role]
     patterns, starts = _pattern_positions(code.k, order)
     syndrome = reduced[steps]
     best_word, best_pattern = syndrome.copy(), np.zeros(batch, dtype=np.intp)
     scored = certified = 0
+    cw = hard.astype(np.uint8)  # the decisions: the hard ones, flipped where the best candidate differs
     if order > 0:
+        words = np.arange(batch)[:, None]
+        # steps by role: the least reliable basis by pivot row, then the rest, most reliable first
+        by_role = np.where(rows >= 0, rows, n + height - 1 - np.arange(n)[:, None]).T.argsort(axis=1)
+        positions = least_reliable_first[words, by_role]
         weights = reliability[words, positions]
         lowest_rows = rows[: code.d_min].T
         lowest_weights = reliability[words, least_reliable_first[:, : code.d_min]]
@@ -481,11 +491,14 @@ def osd_decode(code: CodeSpec, y: np.ndarray, order: int, stats: OsdStats | None
                 weights[part, height:], patterns, starts, lowest_rows[part], lowest_weights[part],
             )
             scored += part_scored
-    flipped = np.zeros((batch, code.k + 1), dtype=bool)
-    flipped[words, patterns[best_pattern]] = True
-    diff = np.empty((batch, n), dtype=bool)
-    diff[words, positions] = np.concatenate([_gf2.unpack(best_word, height), flipped[:, : code.k]], axis=1)
-    cw = (hard ^ diff).astype(np.uint8).reshape(shape)
+        # the best pattern's flips on the most reliable basis, without the pad entry k
+        pattern = patterns[best_pattern]
+        word, entry = np.nonzero(pattern < code.k)
+        cw[word, positions[word, height + pattern[word, entry]]] ^= 1
+    # the pivot steps whose unit column meets the best word (a 2-D nonzero is several times slower)
+    step, word = np.divmod(np.flatnonzero((reduced[:steps] & best_word).any(axis=2) & (rows >= 0)), batch)
+    cw[word, least_reliable_first[word, step]] ^= 1  # distinct positions, so each flips once
+    cw = cw.reshape(shape)
     if stats is not None:
         stats.add(OsdStats(batch, batch * len(patterns), scored, certified))
     return (message_from_codeword(code, cw) if _messages else None), cw

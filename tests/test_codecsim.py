@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import re
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -63,8 +64,9 @@ class TestConstruction:
     def test_reduction_is_pickled_with_the_code(self, code6436):
         # pool workers receive the code pickled, must not reduce it again, and decode as it does
         copy = pickle.loads(pickle.dumps(code6436))
-        assert "reduced" in vars(copy)
-        for got, want in zip(copy.reduced, code6436.reduced):
+        assert "reduced" in vars(copy) and "generator_columns" in vars(copy)
+        for got, want in zip((*copy.reduced, copy.generator_columns),
+                             (*code6436.reduced, code6436.generator_columns)):
             assert np.array_equal(got, want)
         rng = np.random.default_rng(15)
         codewords = encode(code6436, rng.integers(0, 2, (64, code6436.k)))
@@ -113,7 +115,7 @@ class TestSharedCode:
         assert build_ebch(64, 36) is build_ebch(64, 36)
 
     def test_arrays_are_read_only(self, code6436):
-        for array in (code6436.generator, *code6436.reduced):
+        for array in (code6436.generator, *code6436.reduced, code6436.generator_columns):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] ^= 1
 
@@ -142,10 +144,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(code84, np.zeros(shape, dtype=np.uint8))
 
-    @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (128, 64)])
+    @pytest.mark.parametrize("n,k", [(8, 4), (64, 36), (128, 64), (128, 78), (256, 131)])
     @pytest.mark.parametrize("high", [2, 256])
     def test_batch_equals_row_wise_product(self, n, k, high):
-        # eBCH(128, 64) rows take two packed words; entries above 1 count mod 2
+        # eBCH(128, 78) messages take two packed words and eBCH(256, 131)
+        # messages three; entries above 1 count mod 2
         code = build_ebch(n, k)
         msgs = np.random.default_rng(n + high).integers(0, high, (40, k), dtype=np.uint8)
         want = msgs.astype(np.int64) @ code.generator % 2
@@ -187,11 +190,20 @@ class TestEncode:
                 checked.append((code.n, k))
         assert len(checked) == 20
 
-    def test_message_recovery_round_trip(self, code12864):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            msg = rng.integers(0, 2, 64, dtype=np.uint8)
-            assert np.array_equal(message_from_codeword(code12864, encode(code12864, msg)), msg)
+    @pytest.mark.parametrize("n,k", [(128, 64), (128, 78), (256, 131)])
+    def test_message_recovery_round_trip(self, n, k):
+        # c_J of one, two and three packed words
+        code = build_ebch(n, k)
+        msgs = np.random.default_rng([n, k]).integers(0, 2, (30, k), dtype=np.uint8)
+        assert np.array_equal(message_from_codeword(code, encode(code, msgs)), msgs)
+        for msg in msgs[:5]:
+            assert np.array_equal(message_from_codeword(code, encode(code, msg)), msg)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 9), (2, 3, 8), ()])
+    def test_recovery_shape_mismatch(self, code84, shape):
+        # a length other than n is refused, not read from its first n bits
+        with pytest.raises(ValueError, match=re.escape(f"shape (n,) or (B, n) with n=8, got {shape}")):
+            message_from_codeword(code84, np.ones(shape, dtype=np.uint8))
 
     def test_rank_deficient_generator_has_no_recovery(self, code84):
         g = code84.generator.copy()
@@ -233,13 +245,16 @@ class TestTransmit:
 
 
 class TestOsdDecode:
-    def test_noiseless_recovery(self, code6436):
+    @pytest.mark.parametrize("n,k", [(64, 36), (256, 131)])
+    def test_noiseless_recovery(self, n, k):
+        # at n = 256 the hard decisions take four packed words in the syndrome product
+        code = build_ebch(n, k)
         rng = np.random.default_rng(4)
         for s in (0, 1):
-            msg = rng.integers(0, 2, 36, dtype=np.uint8)
-            cw = encode(code6436, msg)
-            rx = transmit(code6436, cw, Snr(60.0), rng)
-            msg_hat, cw_hat = osd_decode(code6436, rx, s)
+            msg = rng.integers(0, 2, k, dtype=np.uint8)
+            cw = encode(code, msg)
+            rx = transmit(code, cw, Snr(60.0), rng)
+            msg_hat, cw_hat = osd_decode(code, rx, s)
             assert np.array_equal(msg_hat, msg)
             assert np.array_equal(cw_hat, cw)
 
@@ -281,6 +296,11 @@ class TestOsdDecode:
             osd_decode(code3216, rx, s, stats=stats)
             assert stats.decodes == 1
             assert stats.patterns_evaluated == pattern_count(16, s)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 7), (2, 3, 8), ()])
+    def test_shape_validation(self, code84, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (n,) or (B, n) with n=8, got shape {shape}")):
+            osd_decode(code84, np.ones(shape), 0)
 
     def test_order_validation(self, code84):
         rng = np.random.default_rng(9)

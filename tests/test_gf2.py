@@ -151,3 +151,18 @@ def test_word_boundaries_match_reference(height):
         pivot_of_row[rows[steps, b]] = order[steps]
         coords = _gf2.unpack(reduced[n, b], height)
         assert np.array_equal(matrix[:, pivot_of_row] @ coords % 2, tails[b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 192), st.sampled_from((63, 64, 65, 127, 128, 129, 192))),
+       st.lists(st.integers(1, 4), max_size=2).map(tuple), st.integers(1, 9),
+       st.sampled_from((0.05, 0.5, 0.95)), st.integers(0, 2**32 - 1))
+def test_product_is_the_dense_product_mod_2(width, leading, m, density, seed):
+    # one to three words per vector, with the 64- and 128-bit edges; leading shapes (), (B,) and (B, C)
+    rng = np.random.default_rng(seed)
+    vectors = (rng.random(leading + (width,)) < density).astype(np.uint8)
+    rows = (rng.random((m, width)) < density).astype(np.uint8)
+    got = _gf2.product(_gf2.pack(vectors), _gf2.pack(rows))
+    assert got.dtype == np.uint8
+    assert got.shape == leading + (m,)
+    assert np.array_equal(got, vectors.astype(np.int64) @ rows.T.astype(np.int64) % 2)

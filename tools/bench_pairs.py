@@ -35,6 +35,12 @@ the same process would read several times the RSS and take longer.
 Next to the three times it records the quadratures each computes
 (``_info_density_stats``' misses): the median over ``SCALAR_PAIRS`` of a
 cold call, and each sweep's.
+A Monte Carlo layers block times, in fresh processes, one seeded 512-word
+eBCH(64,36) ``_simulate_batch`` at the normal-approximation SNR for
+epsilon = 1e-2, at orders 0 and 1: the median of ``MC_REPEATS`` runs of the
+batch, of its ``osd_decode`` call and of its ``encode`` call, after one
+warm-up run; ``CLI_SAMPLES`` samples per side, sides alternating, each
+recorded with the medians.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -127,6 +133,42 @@ print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scala
                   "max_k_128_rows_median_ms": 1e3 * max_k[0],
                   "max_k_128_rows_quadratures": max_k[1],
                   "repeats": repeats}))
+"""
+# Runs per order of the Monte Carlo layers block; argv[1] is MC_REPEATS
+MC_REPEATS = 41
+MC_LAYERS_SNIPPET = """
+import json, statistics, sys, time
+from osdlat import codecsim
+from osdlat.fblmath import Snr, required_snr
+
+repeats = int(sys.argv[1])
+code = codecsim.build_ebch(64, 36)
+snr = Snr(required_snr(64, 1e-2, 36 / 64).db)
+spent = {}
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        spent[name] = time.perf_counter() - start
+        return result
+    return wrapper
+
+# _simulate_batch looks both names up in the module on every call
+codecsim.encode = timed("encode", codecsim.encode)
+codecsim.osd_decode = timed("osd_decode", codecsim.osd_decode)
+record = {"snr_db": snr.db, "repeats": repeats}
+for order in (0, 1):
+    runs = {"batch": [], "osd_decode": [], "encode": []}
+    for i in range(repeats + 1):
+        start = time.perf_counter()
+        codecsim._simulate_batch(code, order, snr, 1, 0, codecsim.BATCH_SIZE)
+        if i:  # run 0 warms up
+            runs["batch"].append(time.perf_counter() - start)
+            runs["osd_decode"].append(spent["osd_decode"])
+            runs["encode"].append(spent["encode"])
+    record.update({f"s{order}_{name}_median_ms": 1e3 * statistics.median(v) for name, v in runs.items()})
+print(json.dumps(record))
 """
 # MALLOC_MMAP_THRESHOLD_ of the max-k runs: a fixed threshold stops glibc from
 # raising it as blocks are freed, which spread one tree's peak RSS over 133-140 MB
@@ -256,19 +298,34 @@ def analytic_sample(side: Path) -> dict:
     return record
 
 
-def analytic_layers(sides: dict) -> dict:
-    """CLI_SAMPLES analytic samples per side, sides alternating: every sample and each metric's median."""
+def alternating_samples(sides: dict, sample, metrics) -> dict:
+    """CLI_SAMPLES samples of sample(side) per side, sides alternating: every sample and each metric's median."""
     samples = {side: [] for side in sides}
     for i in range(CLI_SAMPLES):
         for side in sides_in_turn(i):
-            samples[side].append(analytic_sample(sides[side]))
+            samples[side].append(sample(sides[side]))
+    return {side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}
+            for side, runs in samples.items()}
+
+
+def analytic_layers(sides: dict) -> dict:
     metrics = ("scalar_required_snr_median_ms", "scalar_required_snr_median_quadratures",
                "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures",
                "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "max_k_wall_s", "max_k_peak_rss_mb",
                "max_k_tracemalloc_peak_mb")
-    return {"max_k_argv": list(MAX_K_ARGV),
-            **{side: {"median": {m: statistics.median(s[m] for s in runs) for m in metrics}, "samples": runs}
-               for side, runs in samples.items()}}
+    return {"max_k_argv": list(MAX_K_ARGV), **alternating_samples(sides, analytic_sample, metrics)}
+
+
+def mc_sample(side: Path) -> dict:
+    """The Monte Carlo layers' medians from one fresh process."""
+    proc = subprocess.run([sys.executable, "-c", MC_LAYERS_SNIPPET, str(MC_REPEATS)], cwd=side,
+                          env=side_env(side), check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def mc_layers(sides: dict) -> dict:
+    metrics = [f"s{order}_{name}_median_ms" for order in (0, 1) for name in ("batch", "osd_decode", "encode")]
+    return {"code": "64x36", "epsilon": 1e-2, "batch_words": 512, **alternating_samples(sides, mc_sample, metrics)}
 
 
 def gate_sweeps(side: Path, workers: int) -> dict:
@@ -375,6 +432,7 @@ def main(argv=None) -> int:
 
         record["cli"] = cli_runs(sides)
         record["analytic_layers"] = analytic_layers(sides)
+        record["mc_layers"] = mc_layers(sides)
         record["suites"] = {name: suites(side) for name, side in sides.items()}
         record["pool"] = {
             "norm_wall_s_median": {

@@ -108,6 +108,9 @@ class CalibrationRow:
 
 # Simulated thresholds behind PARAMS_64.  Seeds are 640000 + 100*k + order,
 # disjoint from those of the acceptance gate, so the gate stays out of sample.
+# The rows were simulated on the per-trial stream, where each trial drew its
+# message and then its noise.  The bulk batch draws reproduce every row at
+# its seed but k = 30, order 1: 4.3045 dB, delta_rho_db 1.0.
 CALIBRATION_64 = (
     CalibrationRow(n=64, k=30, order=0, seed=643000, snr_db=6.5545, delta_rho_db=3.25),
     CalibrationRow(n=64, k=36, order=0, seed=643600, snr_db=6.9882, delta_rho_db=2.75),

@@ -482,7 +482,9 @@ class TestProcessPool:
     def test_sweep_identical_for_any_worker_count(self, code84):
         sweeps = [required_snr_sim(code84, 0, 2e-2, workers=w, **self.SWEEP) for w in (1, 2, 3)]
         assert sweeps[0].reached
-        assert {est.trials for est in sweeps[0].sweep} >= {512, 2048}
+        # one point stops after one batch, another runs at least four
+        batches = [-(-est.trials // codecsim.BATCH_SIZE) for est in sweeps[0].sweep]
+        assert min(batches) == 1 and max(batches) >= 4
         assert sweeps[1] == sweeps[0]
         assert sweeps[2] == sweeps[0]
 
@@ -601,10 +603,10 @@ class TestOsdKernel:
         # a full batch and a partial one, both longer than one score slice
         for size in (codecsim.BATCH_SIZE, 150):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+            codewords = encode(code, rng.integers(0, 2, (size, k), dtype=np.uint8))
+            received = 1.0 - 2.0 * codewords + math.sqrt(1.0 / snr.linear) * rng.standard_normal((size, n))
             errors = 0
-            for _ in range(size):
-                cw = encode(code, rng.integers(0, 2, k, dtype=np.uint8))
-                y = 1.0 - 2.0 * cw + math.sqrt(1.0 / snr.linear) * rng.standard_normal(n)
+            for cw, y in zip(codewords, received):
                 errors += not np.array_equal(osd_reference.osd_decode(code.generator, y, order)[0], cw)
             assert errors > 0
             batch_errors, work = codecsim._simulate_batch(code, order, snr, seed, batch_index, size)
@@ -861,22 +863,29 @@ class TestOsdKernel:
         assert np.array_equal(basis, perm[:k])
 
 
-class TestTrialDraws:
-    @pytest.mark.parametrize("k", [1, 3, 4, 5, 7, 36, 57, 64, 120, 247])
-    @pytest.mark.parametrize("size", [1, 2, 5, 512])
-    def test_equal_to_per_trial_draws(self, k, size):
-        # the specification: one integers call and one standard_normal call per trial
-        n = 16
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=k, spawn_key=(size,)))
-        messages = np.empty((size, k), dtype=np.uint8)
-        noise = np.empty((size, n))
-        for i in range(size):
-            messages[i] = rng.integers(0, 2, k, dtype=np.uint8)
-            noise[i] = rng.standard_normal(n)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=k, spawn_key=(size,)))
-        got_messages, got_noise = codecsim._trial_draws(rng, k, n, size)
-        assert np.array_equal(got_messages, messages.astype(bool))
-        assert np.array_equal(got_noise.view(np.uint64), noise.view(np.uint64))
+class TestBatchDraws:
+    # messages of 4 to 131 bits (one to three packed words), noise of 8 to 256 samples
+    @pytest.mark.parametrize("n,k", [(8, 4), (16, 7), (32, 16), (64, 36), (64, 57), (128, 64), (128, 78),
+                                     (256, 131)])
+    @pytest.mark.parametrize("size", [1, 2, 5, 150, 512])
+    def test_received_words_are_two_bulk_draws(self, monkeypatch, n, k, size):
+        # the specification: the batch's messages in one integers call, then its noise in one
+        # standard_normal call, from the batch's own SeedSequence
+        code, snr, seed, batch_index = kernel_code(n, k), Snr(2.0), 5, 3
+        received = []
+
+        def capture(code, y, *args, **kwargs):
+            received.append(y)
+            return osd_decode(code, y, *args, **kwargs)
+
+        monkeypatch.setattr(codecsim, "osd_decode", capture)
+        codecsim._simulate_batch(code, 0, snr, seed, batch_index, size)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+        codewords = encode(code, rng.integers(0, 2, (size, k), dtype=np.uint8))
+        expected = 1.0 - 2.0 * codewords + math.sqrt(1.0 / snr.linear) * rng.standard_normal((size, n))
+        assert len(received) == 1
+        assert received[0].shape == (size, n)
+        assert np.array_equal(received[0].view(np.uint64), expected.view(np.uint64))
 
 
 def test_decisions_match_stored_digests(monkeypatch):

@@ -38,9 +38,12 @@ cold call, and each sweep's.
 A Monte Carlo layers block times, in fresh processes, one seeded 512-word
 eBCH(64,36) ``_simulate_batch`` at the normal-approximation SNR for
 epsilon = 1e-2, at orders 0 and 1: the median of ``MC_REPEATS`` runs of the
-batch, of its ``osd_decode`` call and of its ``encode`` call, after one
+batch, of its ``osd_decode`` call, of its ``encode`` call and of the rest
+of the batch (the draws, the channel and the error count), after one
 warm-up run; ``CLI_SAMPLES`` samples per side, sides alternating, each
-recorded with the medians.
+recorded with the medians.  Across a change of the random stream the two
+sides decode different words, so ``s1_osd_decode``, whose search scores
+what the words need, then compares work as well as speed.
 Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
 of the change's ``src/`` files close the record, so it can be matched to
 the commit that holds the change.
@@ -159,7 +162,7 @@ codecsim.encode = timed("encode", codecsim.encode)
 codecsim.osd_decode = timed("osd_decode", codecsim.osd_decode)
 record = {"snr_db": snr.db, "repeats": repeats}
 for order in (0, 1):
-    runs = {"batch": [], "osd_decode": [], "encode": []}
+    runs = {"batch": [], "osd_decode": [], "encode": [], "rest": []}
     for i in range(repeats + 1):
         start = time.perf_counter()
         codecsim._simulate_batch(code, order, snr, 1, 0, codecsim.BATCH_SIZE)
@@ -167,6 +170,7 @@ for order in (0, 1):
             runs["batch"].append(time.perf_counter() - start)
             runs["osd_decode"].append(spent["osd_decode"])
             runs["encode"].append(spent["encode"])
+            runs["rest"].append(runs["batch"][-1] - spent["osd_decode"] - spent["encode"])
     record.update({f"s{order}_{name}_median_ms": 1e3 * statistics.median(v) for name, v in runs.items()})
 print(json.dumps(record))
 """
@@ -324,7 +328,7 @@ def mc_sample(side: Path) -> dict:
 
 
 def mc_layers(sides: dict) -> dict:
-    metrics = [f"s{order}_{name}_median_ms" for order in (0, 1) for name in ("batch", "osd_decode", "encode")]
+    metrics = [f"s{order}_{name}_median_ms" for order in (0, 1) for name in ("batch", "osd_decode", "encode", "rest")]
     return {"code": "64x36", "epsilon": 1e-2, "batch_words": 512, **alternating_samples(sides, mc_sample, metrics)}
 
 

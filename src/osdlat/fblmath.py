@@ -14,15 +14,17 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 LOG2E = math.log2(math.e)
 # Gauss-Hermite nodes for the capacity and dispersion integrals.
 QUADRATURE_NODES = 128
-# required_snr's search: its start, the 20 dB steps of its lower end and their limit, in dB
+# required_snr's bracket grid in dB: _GRID_STEP_DB steps across _START_DB, and
+# below it the 20 dB lattice of _STEP_DB steps down to _FLOOR_DB
 _START_DB = (-60.0, 40.0)
+_GRID_STEP_DB = 1.0
 _STEP_DB = 20.0
 _FLOOR_DB = -400.0
 # Width in dB of the bracket required_snr's result closes: well under the
@@ -179,8 +181,28 @@ def _rate_gap(n, backoff: float, rhos: Sequence[float], rates, nodes: int = QUAD
     """The rate in bits before its clamp at 0, minus the target rates, as an
     array over the linear SNRs rhos, elementwise with n and rates.  With a
     positive target its sign decides as the clamped rate's would."""
-    c_nats, v = _info_density_stats(rhos, nodes)
+    return _gap(*_info_density_stats(rhos, nodes), n, backoff, rates)
+
+
+def _gap(c_nats, v, n, backoff: float, rates):
+    """_rate_gap from the quadrature's capacity and dispersion arrays."""
     return (c_nats - np.sqrt(v / n) * backoff) * LOG2E - rates
+
+
+@cache
+def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dB points of required_snr's bracket grid, ascending, with the
+    capacity and dispersion arrays of _quadrature at each: the 20 dB
+    lattice from _FLOOR_DB up, then _GRID_STEP_DB steps from _START_DB[0]
+    to _START_DB[1].  Every point is an exact multiple of its step, and
+    each entry is the float a search evaluating that point computes, since
+    a row of the pass is a one-SNR pass.  Built once per process, on first
+    use, in one pass that bypasses _info_density_stats' counts.
+    """
+    lattice = np.arange(_FLOOR_DB, _START_DB[0], _STEP_DB)
+    steps = round((_START_DB[1] - _START_DB[0]) / _GRID_STEP_DB)
+    dbs = np.concatenate([lattice, _START_DB[0] + _GRID_STEP_DB * np.arange(steps + 1)])
+    return (dbs, *_quadrature(list(map(_linear, dbs.tolist())), QUADRATURE_NODES))
 
 
 def normal_approx_rate(
@@ -217,8 +239,9 @@ def required_snr(
 
     Returns an SNR b in dB whose float rate reaches the target, found by a
     search that also met an a < b, no more than _TOL_DB below it, whose
-    rate does not.  The search starts from [-60, 40] dB and moves its
-    lower end down in 20 dB steps until it brackets the target.  Raises
+    rate does not; a may be a point of the bracket grid (_grid), which
+    the search reads instead of evaluating.  The search starts from the
+    two adjacent grid points that bracket the target.  Raises
     InfeasibleError for rate >= 1, which no finite SNR can reach, and
     ValueError when even -400 dB reaches the rate.
 
@@ -253,28 +276,33 @@ def required_snr(
 
 
 def _required_dbs(ns: Sequence[int], backoff: float, rates: Sequence[float]) -> list[float]:
-    """required_snr's b in dB for each valid (n, rate) row, as arrays:
-    each phase of the search runs on the rows still open, and each round
-    drops the rows it closes."""
+    """required_snr's b in dB for each valid (n, rate) row, as arrays: the
+    grid bisection runs on every row, and each Illinois round on the rows
+    still open, dropping the rows it closes."""
     n, rate = np.array(ns, dtype=float), np.array(rates)
 
     def gap(db, n, rate):
         return _rate_gap(n, backoff, list(map(_linear, db.tolist())), rate)
 
-    # The rate at the upper start is exactly 1 for every n and epsilon (V
-    # is 0 there and C rounds to 1 bit), so it reaches every rate below 1.
-    b = np.full(len(rates), _START_DB[1])
-    yb = gap(b, n, rate)
-    a = np.full(len(rates), _START_DB[0])
-    ya = gap(a, n, rate)
-    stepping = np.flatnonzero(ya >= 0.0)
-    while stepping.size:
-        a[stepping] -= _STEP_DB
-        if a[stepping[0]] < _FLOOR_DB:  # every stepping row has the same a
-            raise ValueError(f"rate {rates[stepping[0]]} is reached at every SNR "
-                             f"down to {_FLOOR_DB:g} dB")
-        ya[stepping] = y = gap(a[stepping], n[stepping], rate[stepping])
-        stepping = stepping[y >= 0.0]
+    # Bisect each row's grid index to adjacent points i < j with ya < 0 <=
+    # yb, read from the grid; a row already there re-reads its point i.
+    # The top point, 40 dB, reaches every rate below 1 (V is 0 there and C
+    # rounds to 1 bit).  The bottom one, -400 dB, reaches the target only
+    # if every lattice point above it does: the rate gains a factor of 10
+    # or more each 20 dB step there.
+    dbs, c_nats, v = _grid()
+    i, j = np.zeros(len(rates), dtype=int), np.full(len(rates), len(dbs) - 1)
+    ya, yb = _gap(c_nats[i], v[i], n, backoff, rate), _gap(c_nats[j], v[j], n, backoff, rate)
+    if (ya >= 0.0).any():
+        raise ValueError(f"rate {rates[np.argmax(ya >= 0.0)]} is reached at every SNR "
+                         f"down to {_FLOOR_DB:g} dB")
+    while (j - i > 1).any():
+        mid = (i + j) // 2
+        y = _gap(c_nats[mid], v[mid], n, backoff, rate)
+        low = y < 0.0
+        i, ya = np.where(low, mid, i), np.where(low, y, ya)
+        j, yb = np.where(low, j, mid), np.where(low, yb, y)
+    a, b = dbs[i], dbs[j]
 
     # Illinois regula falsi in dB on rate - target, with ya < 0 <= yb: an
     # end that stays twice has its value halved, and a step that leaves

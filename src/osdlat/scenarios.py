@@ -90,19 +90,22 @@ def _decode_window(n: int, cfg: ScenarioConfig) -> float:
     return cfg.budget.deadline - n * cfg.budget.symbol_time
 
 
-def _deadline_cost(n: int, k: int, cfg: ScenarioConfig, law) -> tuple[float, float, float]:
+def _deadline_cost(
+    n: int, k: int, window: float, cfg: ScenarioConfig, law: TradeoffParams | None
+) -> tuple[float, float, float]:
     """(c_allowed, delta_rho_db, total latency) when the deadline caps decoding.
 
-    The decoding window left after transmission allows c_allowed binary
-    operations per information bit; the constants law(n) price that as a
-    power penalty, inf when c_allowed <= 1.  A free decoder (binop_time 0)
-    has unlimited complexity, no penalty and latency n*T_s.
+    The decoding window left after transmission, _decode_window(n, cfg),
+    allows c_allowed binary operations per information bit; the law
+    constants at n price that as a power penalty, inf when c_allowed <= 1.
+    A free decoder (binop_time 0) has unlimited complexity, no penalty and
+    latency n*T_s, and its callers pass no law.
     """
     budget = cfg.budget
     if budget.binop_time == 0:
         return math.inf, 0.0, n * budget.symbol_time
-    c_allowed = _decode_window(n, cfg) / (k * budget.binop_time)
-    return c_allowed, complexity_to_penalty(c_allowed, law(n)), budget.deadline
+    c_allowed = window / (k * budget.binop_time)
+    return c_allowed, complexity_to_penalty(c_allowed, law), budget.deadline
 
 
 def _deadline_points(
@@ -110,10 +113,11 @@ def _deadline_points(
 ) -> list[SweepPoint]:
     """Sweep rows for (n, k bits, rate) when the deadline caps decoding,
     with one required_snr call for the rows the law leaves feasible."""
-    costs = []
+    costs, priced_law = [], bool(cfg.budget.binop_time)
     for block in _blocks(len(rows)):  # a law cache per block stays bounded however long the sweep
         law = functools.cache(cfg.law_params)
-        costs += [_deadline_cost(n, k, cfg, law) for n, k, _ in rows[block]]
+        costs += [_deadline_cost(n, k, _decode_window(n, cfg), cfg, law(n) if priced_law else None)
+                  for n, k, _ in rows[block]]
     priced = [row for row, (_, delta, _) in zip(rows, costs) if not math.isinf(delta)]
     reqs = iter(required_snr([row[0] for row in priced], cfg.epsilon, [row[2] for row in priced]))
     sweep = []
@@ -164,55 +168,80 @@ def max_rate_curve(n: int, cfg: ScenarioConfig, rate_step: float = 0.05) -> Scen
     return ScenarioResult("max-rate", sweep, optimum)
 
 
-def _fits(ns: Sequence[int], ks: Sequence[int], mask, cfg: ScenarioConfig, backoff: float, law):
-    """Whether ks[i] bits fit at blocklength ns[i], for the rows in mask
-    (False elsewhere), with one quadrature call; backoff is
-    q_inv(cfg.epsilon) and law the sweep's cached cfg.law_params."""
-    fits = np.zeros(len(ns), dtype=bool)
+def _fits(ns, ks, windows, laws, cfg: ScenarioConfig, backoff: float) -> np.ndarray:
+    """The signed rate gap of ks[i] bits at blocklength ns[i], at the power
+    cap less the deadline's penalty, with one quadrature call: the row fits
+    where the gap is at least 0.  windows[i] is the decode window at ns[i]
+    and laws[i] its law constants, None when T_b = 0; backoff is
+    q_inv(cfg.epsilon).  The gap is -inf where k >= n, and where the SNR
+    left has no linear value, as Snr(snr_left) has none, it is +inf above
+    the scale (every rate below 1 fits) and -inf below it."""
+    gaps = np.full(len(ns), -math.inf)
     rows, rhos = [], []
-    for i in np.flatnonzero(mask).tolist():
-        n, k = ns[i], ks[i]
+    for i, (n, k, window, law) in enumerate(zip(ns, ks, windows, laws)):
         if k >= n:
             continue
-        snr_left = cfg.power_cap_db - _deadline_cost(n, k, cfg, law)[1]
+        snr_left = cfg.power_cap_db - _deadline_cost(n, k, window, cfg, law)[1]
         rho = _checked_linear(snr_left)
         if rho is None:
-            # no linear value, as Snr(snr_left) has none: below the scale no
-            # rate fits, above it every rate below 1 does
-            fits[i] = snr_left > 0
+            gaps[i] = math.inf if snr_left > 0 else -math.inf
             continue
         rows.append(i)
         rhos.append(rho)
     if rows:
         n, k = np.array([ns[i] for i in rows]), np.array([ks[i] for i in rows])
-        fits[rows] = _rate_gap(n, backoff, rhos, k / n) >= 0.0
-    return fits
+        gaps[rows] = _rate_gap(n, backoff, rhos, k / n)
+    return gaps
 
 
 def _max_ks(ns: Sequence[int], cfg: ScenarioConfig, backoff: float) -> list[int | None]:
-    """The largest k that fits at each blocklength of ns, or None: binary
-    searches on k (feasibility is monotone in k), all rows at once, each
-    blocklength's law built once."""
-    ns, law = list(ns), functools.cache(cfg.law_params)
-    lo, hi = np.ones(len(ns), dtype=int), np.array(ns)
-    live = np.array([_decode_window(n, cfg) >= 0 for n in ns], dtype=bool)
-    found = live = _fits(ns, lo.tolist(), live, cfg, backoff, law)
-    while True:
-        live = live & (lo < hi)
-        if not np.count_nonzero(live):
-            break
-        mid = (lo + hi + 1) // 2
-        fits = _fits(ns, mid.tolist(), live, cfg, backoff, law)
-        lo, hi = np.where(fits, mid, lo), np.where(live & ~fits, mid - 1, hi)
+    """The largest k that fits at each blocklength of ns, or None, all rows
+    at once, each row's decode window and law computed once.
+
+    Each row keeps fits(lo) and not fits(hi + 1), with the rate gap at
+    both ends, and probes the k at which the line through the two gaps
+    crosses 0.  It probes the midpoint instead while an end's gap is not
+    finite (hi + 1 = n at first) or when its last probe did not halve its
+    bracket.  Feasibility is monotone in k, so the search ends on the k a
+    bisection finds.
+    """
+    tb = cfg.budget.binop_time
+    ns = list(ns)
+    windows = [_decode_window(n, cfg) for n in ns]
+    laws = [cfg.law_params(n) if tb and n > 1 and window >= 0 else None for n, window in zip(ns, windows)]
+
+    def probe(rows, ks):
+        return _fits([ns[i] for i in rows], ks, [windows[i] for i in rows], [laws[i] for i in rows],
+                     cfg, backoff)
+
+    lo, hi = np.ones(len(ns), dtype=int), np.array(ns, dtype=int) - 1
+    g_lo, g_hi = np.full(len(ns), -math.inf), np.full(len(ns), -math.inf)
+    rows = [i for i, window in enumerate(windows) if window >= 0]
+    g_lo[rows] = probe(rows, [1] * len(rows))
+    found = g_lo >= 0.0
+    halved = np.ones(len(ns), dtype=bool)
+    rows = np.flatnonzero(found & (lo < hi))
+    while rows.size:
+        l, h, gl, gh = lo[rows], hi[rows], g_lo[rows], g_hi[rows]
+        secant = np.isfinite(gl) & np.isfinite(gh) & halved[rows]
+        share = np.where(secant, gl / np.where(secant, gl - gh, 1.0), 0.5)
+        k = np.where(secant, l + np.floor(share * (h + 1 - l)).astype(int), (l + h + 1) // 2)
+        k = np.clip(k, l + 1, h)
+        g = probe(rows.tolist(), k.tolist())
+        fit = g >= 0.0
+        lo[rows], g_lo[rows] = np.where(fit, k, l), np.where(fit, g, gl)
+        hi[rows], g_hi[rows] = np.where(fit, h, k - 1), np.where(fit, gh, g)
+        halved[rows] = 2 * (hi[rows] - lo[rows]) <= h - l
+        rows = rows[lo[rows] < hi[rows]]
     return [k if ok else None for k, ok in zip(lo.tolist(), found.tolist())]
 
 
 def maximize_k(cfg: ScenarioConfig, ns: Sequence[int]) -> ScenarioResult:
     """Most information bits per codeword under deadline and power cap.
 
-    For each blocklength in ns, binary-searches the largest k whose
-    required SNR plus the law's penalty for the deadline-allowed
-    complexity stays within power_cap_db (feasibility is monotone in k).
+    For each blocklength in ns, searches the largest k whose required SNR
+    plus the law's penalty for the deadline-allowed complexity stays within
+    power_cap_db (feasibility is monotone in k; see _max_ks).
     The searches of a block of blocklengths run together, one quadrature
     call per round.  The optimum is the blocklength maximizing k.
     """

@@ -3,8 +3,8 @@
 ``info_density_stats`` is the quadrature at one SNR, which the package
 evaluates in batches, and ``rate`` the clamped normal-approximation rate
 computed from it.  ``lower_start`` replays ``required_snr``'s checks and
-the 20 dB steps of its lower end, and so says whether a call must fail
-and with what.  They are kept as oracles only: a test checks the SNR b
+walks the 20 dB lattice down from -60 dB, and so says whether a call must
+fail and with what.  They are kept as oracles only: a test checks the SNR b
 that ``required_snr`` returns against ``rate``, whose value at b must
 reach the target and whose value at b - ``fblmath._TOL_DB`` must not.
 ``rate`` looks each (linear SNR, nodes) up in the plain dict ``STATS``,

@@ -177,6 +177,21 @@ class TestBatchedQuadrature:
         want = [fbl_reference.info_density_stats(rho, QUADRATURE_NODES) for rho in rhos]
         assert list(zip(c_nats.tolist(), v.tolist())) == want
 
+    def test_grid_entries_equal_the_one_snr_pass(self):
+        # required_snr reads the grid's floats where a search would compute them
+        dbs, c_nats, v = fblmath._grid()
+        for db, c, var in zip(dbs.tolist(), c_nats.tolist(), v.tolist()):
+            one_c, one_v = fblmath._quadrature([fblmath._linear(db)], QUADRATURE_NODES)
+            assert (c, var) == (one_c[0], one_v[0]) == fbl_reference.info_density_stats(
+                fblmath._linear(db), QUADRATURE_NODES), db
+
+    def test_grid_points(self):
+        dbs = fblmath._grid()[0].tolist()
+        lattice = [fblmath._START_DB[0] - fblmath._STEP_DB * j for j in range(1, 18)][::-1]
+        steps = [fblmath._START_DB[0] + fblmath._GRID_STEP_DB * j for j in range(101)]
+        assert dbs == lattice + steps
+        assert dbs[0] == fblmath._FLOOR_DB and dbs[-1] == fblmath._START_DB[1]
+
     @pytest.fixture
     def passes(self, monkeypatch):
         """The SNRs of each numpy pass _info_density_stats makes."""
@@ -280,7 +295,7 @@ class TestRequiredSnr:
 
     def test_lower_end_steps_down(self):
         # eps > 1/2 makes the backoff negative, so -60 dB already reaches
-        # this rate; the search steps its lower end down to -80 dB
+        # this rate; the bracket is the lattice's [-80, -60] dB
         assert normal_approx_rate(400000, 0.99, Snr(-60.0)) >= 2.5e-6
         assert -80.0 < required_snr(400000, 0.99, 2.5e-6).db < -60.0
 
@@ -316,10 +331,11 @@ def recording():
 
 
 def assert_contract(n, epsilon, target, got, tried):
-    """The oracle's rate at got reaches the target, and at an SNR in tried
-    no more than _TOL_DB below got it does not."""
+    """The oracle's rate at got reaches the target, and at an SNR in tried,
+    or a point of the bracket grid that the search reads instead of
+    evaluating, no more than _TOL_DB below got it does not."""
     assert fbl_reference.rate(n, epsilon, Snr(got)) >= target, (n, epsilon, target, got)
-    tried = np.array(tried)
+    tried = np.concatenate([tried, fblmath._grid()[0]])
     below = tried[(tried < got) & (got - tried <= fblmath._TOL_DB)].tolist()
     assert any(fbl_reference.rate(n, epsilon, Snr(a)) < target for a in below), (n, epsilon, target, got)
 
@@ -443,6 +459,8 @@ class TestRequiredSnrContract:
         want = [required_snr(n, 1e-3, rate) for n, rate in zip(ns, rates)]
         for rows in (3, 1):
             monkeypatch.setattr(fblmath, "_ROWS", rows)
+            # the grid's one pass, rebuilt here, goes straight to _quadrature and is no round
+            fblmath._grid.cache_clear()
             rounds.clear()
             assert required_snr(ns, 1e-3, rates) == want
             assert max(rounds) == rows
@@ -497,8 +515,10 @@ class TestRequiredSnrContract:
                 required_snr(ns, 1e-3, rates)
 
     def test_cold_cache_evaluations_per_call(self):
-        """About 16 quadratures a call, where a bisection of the first
-        100 dB bracket down to _TOL_DB would need about 50."""
+        """About 7 quadratures a call from the grid's 1 dB bracket, where
+        Illinois from the 100 dB bracket [-60, 40] dB needed 16 (worst 38)
+        and a bisection of it down to _TOL_DB would need about 50.  The
+        grid's own pass, once per process, is not counted."""
         stats = fblmath._info_density_stats
         cases = [(n, eps, k / n) for eps in (1e-1, 1e-3, 1e-9)
                  for n in (2, 17, 64, 128, 500, 1000) for k in range(1, n, max(1, n // 7))]
@@ -508,9 +528,30 @@ class TestRequiredSnrContract:
             required_snr(*case)
             return stats.cache_info().misses
 
+        fblmath._grid()
         counts = [misses(case) for case in cases]
-        assert statistics.median(counts) <= 16
-        assert max(counts) < 41
+        assert statistics.median(counts) <= 7
+        assert max(counts) <= 32
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 128), st.integers(1, 10**6)),
+        epsilon=st.floats(-12.0, math.log10(0.99)).map(lambda e: 10.0**e),
+        rate=st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+    )
+    @example(n=373020, epsilon=0.712, rate=1 - 2.7e-8)
+    def test_quadratures_near_rate_one(self, n, epsilon, rate):
+        """The rate - target of a rate near 1 is flat at 1 - rate from 20 dB
+        up and steep near the root.  From the 100 dB bracket Illinois halved
+        the far end's value about 25 times on each flat stretch: up to 108
+        quadratures a cold call, and 80 for the example.  From the grid's
+        bracket the example takes 15, and 3,000 random cold calls of this
+        kind took at most 43."""
+        stats = fblmath._info_density_stats
+        fblmath._grid()
+        stats.cache_clear()
+        required_snr(n, epsilon, rate)
+        assert stats.cache_info().misses <= 48
 
 
 def test_default_config_drops_o1n_term():

@@ -100,9 +100,13 @@ class TestMaximizeK:
             budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0
         )
         for n in (100, 200, 300):
-            flags = scenarios._fits([n] * (n - 1), list(range(1, n)), [True] * (n - 1), cfg, q_inv(cfg.epsilon),
-                                    cfg.law_params)
+            gaps = scenarios._fits([n] * (n - 1), list(range(1, n)), [scenarios._decode_window(n, cfg)] * (n - 1),
+                                   [cfg.law_params(n)] * (n - 1), cfg, q_inv(cfg.epsilon))
+            flags = gaps >= 0.0
+            assert flags[0] and not flags[-1]
             assert all(a or not b for a, b in zip(flags, flags[1:]))
+            # the gap the k search interpolates falls with k
+            assert (np.diff(gaps) < 0.0).all()
 
     @staticmethod
     def _plain_max_k(cfg, n):
@@ -181,6 +185,39 @@ class TestMaximizeK:
         cfg = ScenarioConfig(budget=budget(1e-3, tb=tb), epsilon=1e-3, power_cap_db=cap)
         ks = [pt.k for pt in maximize_k(cfg, ns).sweep]
         assert ks == [self._plain_max_k(cfg, n) for n in ns] == want
+
+    @pytest.mark.parametrize("cap, tb, ns", [
+        # no penalty: the gap is linear in k, so the secant lands next to the answer
+        (5.0, 0.0, range(2, 300)),
+        (40.0, 0.0, range(2, 80)),
+        # k = 1 needs more than the cap at the short blocklengths
+        (-5.0, TB, range(2, 700, 7)),
+        # k is next to n: n - 1 or n - 2 at 12 dB, n - 1 from 30 dB up
+        (12.0, 0.0, range(2, 300)),
+        (30.0, 0.1e-9, range(2, 120)),
+        # snr_left has no linear value: every rate below 1 fits above the
+        # scale, none below it (the window at n = 900 is at the law's floor)
+        (1e308, TB, range(2, 200, 3)),
+        (60.0, (1e-3 - 900 * TS) / (1.0 + 1e-12), [*range(2, 900, 9), *range(890, 910)]),
+    ])
+    def test_k_search_equals_the_plain_search(self, cap, tb, ns):
+        cfg = ScenarioConfig(budget=budget(1e-3, tb=tb), epsilon=1e-3, power_cap_db=cap)
+        ns = list(ns)
+        assert scenarios._max_ks(ns, cfg, q_inv(cfg.epsilon)) == [self._plain_max_k(cfg, n) for n in ns]
+
+    def test_k_search_probes(self, monkeypatch):
+        probes = []
+        fits = scenarios._fits
+
+        def counted(ns, ks, *rest):
+            probes.append(len(ks))
+            return fits(ns, ks, *rest)
+
+        monkeypatch.setattr(scenarios, "_fits", counted)
+        cfg = ScenarioConfig(budget=budget(1e-3), epsilon=1e-3, power_cap_db=5.0)
+        maximize_k(cfg, range(100, 228))
+        # 708 probes in 7 rounds; the bisection made 1,152 in 9
+        assert sum(probes) <= 720 and len(probes) <= 7
 
     def test_optimum_satisfies_constraints_independently(self):
         cfg = ScenarioConfig(

@@ -34,7 +34,11 @@ recorded with the medians.  A second run of that command records
 the same process would read several times the RSS and take longer.
 Next to the three times it records the quadratures each computes
 (``_info_density_stats``' misses): the median over ``SCALAR_PAIRS`` of a
-cold call, and each sweep's.
+cold call, and each sweep's.  ``required_snr``'s bracket grid
+(``fblmath._grid``) is built first, once per process, and its quadratures
+and build time (without the scipy import) are their own fields (0 on a tree without the grid): the
+per-call counts leave them out, so they compare across records with the
+counts of trees that had no grid.
 A Monte Carlo layers block times, in fresh processes, one seeded 512-word
 eBCH(64,36) ``_simulate_batch`` at the normal-approximation SNR for
 epsilon = 1e-2, at orders 0 and 1: the median of ``MC_REPEATS`` runs of the
@@ -107,6 +111,13 @@ from osdlat.oscomplexity import LatencyBudget
 
 pairs, repeats = json.loads(sys.argv[1]), 15
 stats = fblmath._info_density_stats
+# required_snr's bracket grid, built once per process outside the counts (none before it
+# existed), timed after the quadrature nodes and their scipy import
+grid = getattr(fblmath, "_grid", None)
+fblmath._hermgauss(fblmath.QUADRATURE_NODES)
+start = time.perf_counter()
+grid_quadratures = len(grid()[0]) if grid else 0
+grid_ms = 1e3 * (time.perf_counter() - start)
 scalar, scalar_quadratures = [], []
 for _ in range(repeats):
     for pair in pairs:
@@ -135,6 +146,8 @@ print(json.dumps({"scalar_required_snr_median_ms": 1e3 * statistics.median(scala
                   "min_latency_128_rows_quadratures": min_latency[1],
                   "max_k_128_rows_median_ms": 1e3 * max_k[0],
                   "max_k_128_rows_quadratures": max_k[1],
+                  "grid_quadratures": grid_quadratures,
+                  "grid_build_ms": grid_ms,
                   "repeats": repeats}))
 """
 # Runs per order of the Monte Carlo layers block; argv[1] is MC_REPEATS
@@ -315,8 +328,8 @@ def alternating_samples(sides: dict, sample, metrics) -> dict:
 def analytic_layers(sides: dict) -> dict:
     metrics = ("scalar_required_snr_median_ms", "scalar_required_snr_median_quadratures",
                "min_latency_128_rows_median_ms", "min_latency_128_rows_quadratures",
-               "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "max_k_wall_s", "max_k_peak_rss_mb",
-               "max_k_tracemalloc_peak_mb")
+               "max_k_128_rows_median_ms", "max_k_128_rows_quadratures", "grid_quadratures", "grid_build_ms",
+               "max_k_wall_s", "max_k_peak_rss_mb", "max_k_tracemalloc_peak_mb")
     return {"max_k_argv": list(MAX_K_ARGV), **alternating_samples(sides, analytic_sample, metrics)}
 
 

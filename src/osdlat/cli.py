@@ -33,6 +33,7 @@ from osdlat.oscomplexity import (
     LatencyBudget,
     complexity_report,
     max_order,
+    pattern_count,
     total_latency,
 )
 
@@ -57,29 +58,36 @@ def _workers() -> int:
     return min(max(workers, 1), os.cpu_count() or 1)
 
 
-def _parse_range(spec: str) -> list[float]:
-    """Inclusive numeric range 'start:stop:step'."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must look like start:stop:step, got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"range bounds and step must be finite, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise ValueError(f"range needs stop >= start and step > 0, got {spec!r}")
-    spans = (stop - start) / step + 1e-9
-    if spans >= MAX_RANGE_ROWS:
-        raise ValueError(f"range {spec!r} has more than {MAX_RANGE_ROWS} rows")
+def _parse_range(spec: str, flag: str) -> list[float]:
+    """Inclusive numeric range 'start:stop:step' given to flag, which each error names."""
+    try:
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range must look like start:stop:step, got {spec!r}")
+        start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"range bounds and step must be finite, got {spec!r}")
+        if step <= 0 or stop < start:
+            raise ValueError(f"range needs stop >= start and step > 0, got {spec!r}")
+        spans = (stop - start) / step + 1e-9
+        if spans >= MAX_RANGE_ROWS:
+            raise ValueError(f"range {spec!r} has more than {MAX_RANGE_ROWS} rows")
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     return [start + i * step for i in range(int(math.floor(spans)) + 1)]
 
 
-def _parse_int_pair(spec: str) -> tuple[int, int]:
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected lo:hi, got {spec!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    if hi < lo:
-        raise ValueError(f"expected lo <= hi, got {spec!r}")
+def _parse_int_pair(spec: str, flag: str) -> tuple[int, int]:
+    """Integer pair 'lo:hi' with lo <= hi given to flag, which each error names."""
+    try:
+        parts = spec.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"expected lo:hi, got {spec!r}")
+        lo, hi = int(parts[0]), int(parts[1])
+        if hi < lo:
+            raise ValueError(f"expected lo <= hi, got {spec!r}")
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     return lo, hi
 
 
@@ -92,10 +100,7 @@ def _blocklengths(args, lo: int, hi: float, source: str) -> list[int]:
     if args.n_step < 1:
         raise ValueError(f"--n-step must be >= 1, got {args.n_step}")
     if args.n_range:
-        try:
-            lo, hi = _parse_int_pair(args.n_range)
-        except ValueError as exc:
-            raise ValueError(f"--n-range: {exc}") from None
+        lo, hi = _parse_int_pair(args.n_range, "--n-range")
         source = "--n-range"
     elif not math.isfinite(hi):
         raise ValueError("the deadline gives no finite blocklength bound; pass --n-range lo:hi")
@@ -151,20 +156,21 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, csv_text: str, sidecar: dict | None) -> None:
+def _emit(args, document: str, sidecar: dict | None) -> None:
+    """A handler's output: the document to --out or stdout, the sidecar to <out>.json or stderr."""
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        Path(args.out).write_text(document, encoding="utf-8")
         if sidecar is not None:
             Path(args.out + ".json").write_text(_json_text(sidecar), encoding="utf-8")
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(document)
         if sidecar is not None:
             sys.stderr.write(_json_text(sidecar))
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> tuple[str, dict | None]:
     rows = []
-    for snr_db in _parse_range(args.snr_db_range):
+    for snr_db in _parse_range(args.snr_db_range, "--snr-db-range"):
         snr = Snr(snr_db)
         rows.append(
             (
@@ -174,12 +180,11 @@ def cmd_rate(args) -> int:
                 normal_approx_rate(args.n, args.eps, snr, args.nodes),
             )
         )
-    _emit(args, _csv_text(("snr_db", "capacity", "dispersion", "rate"), rows), None)
-    return 0
+    return _csv_text(("snr_db", "capacity", "dispersion", "rate"), rows), None
 
 
-def cmd_complexity(args) -> int:
-    lo, hi = _parse_int_pair(args.orders)
+def cmd_complexity(args) -> tuple[str, dict | None]:
+    lo, hi = _parse_int_pair(args.orders, "--orders")
     budget = None
     if args.dm is not None:
         budget = LatencyBudget(deadline=args.dm, symbol_time=args.ts, binop_time=args.tb)
@@ -206,11 +211,10 @@ def cmd_complexity(args) -> int:
             "s_star": s_star,
         }
     header = ("s", "c_exact", "c_bound", "dominant_term", "total_latency_s", "meets_deadline")
-    _emit(args, _csv_text(header, rows), sidecar)
-    return 0
+    return _csv_text(header, rows), sidecar
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args) -> tuple[str, dict | None]:
     if args.fit is not None:
         points = []
         for line in args.fit.strip().splitlines()[1:]:
@@ -218,18 +222,16 @@ def cmd_tradeoff(args) -> int:
             points.append(tradeoff.PenaltyPoint(delta_rho_db=drho, c=c))
         result = tradeoff.fit_params(points, n_anchor=args.n_anchor)
         doc = {**dataclasses.asdict(result.params), "rms_residual": result.rms_residual}
-        _emit(args, _json_text(doc), None)
-        return 0
+        return _json_text(doc), None
     params = _law_params(args) or tradeoff.params_for_blocklength(args.n, args.extrapolation)
     rows = []
-    for drho in _parse_range(args.delta_rho_range):
+    for drho in _parse_range(args.delta_rho_range, "--delta-rho-range"):
         c = tradeoff.penalty_to_complexity(drho, params)
         rows.append((drho, math.log2(c), c))
-    _emit(args, _csv_text(("delta_rho_db", "log2_c", "c"), rows), None)
-    return 0
+    return _csv_text(("delta_rho_db", "log2_c", "c"), rows), None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, dict | None]:
     code = _parse_code(args.code)
     if args.snr_db is None and args.eps is None:
         raise ValueError("simulate needs --snr-db or --eps")
@@ -237,6 +239,11 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate takes --snr-db or --eps, not both")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    # codecsim lists every error pattern before its first decode; an order outside [0, k] fails there
+    patterns = pattern_count(code.k, args.order) if 0 <= args.order <= code.k else 0
+    if patterns > MAX_RANGE_ROWS:
+        raise ValueError(f"--order {args.order} on {args.code} has {patterns} error patterns, "
+                         f"over {MAX_RANGE_ROWS}")
     run = {
         "min_errors": args.min_errors,
         "max_trials": args.max_trials,
@@ -270,11 +277,10 @@ def cmd_simulate(args) -> int:
             }
         )
     rows = [(e.snr_db, e.order, e.trials, e.errors, e.bler, e.ci95_halfwidth) for e in sweep]
-    _emit(args, _csv_text(("snr_db", "s", "trials", "errors", "bler", "ci95"), rows), sidecar)
-    return 0
+    return _csv_text(("snr_db", "s", "trials", "errors", "bler", "ci95"), rows), sidecar
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args) -> tuple[str, dict | None]:
     cfg = scenarios.ScenarioConfig(
         budget=LatencyBudget(deadline=args.dm, symbol_time=args.ts, binop_time=args.tb),
         epsilon=args.eps,
@@ -320,36 +326,27 @@ def cmd_scenario(args) -> int:
         echo["n_range"] = [ns[0], ns[-1]]
     columns = [field.name for field in dataclasses.fields(scenarios.SweepPoint)]
     optimum = None if result.optimum is None else vars(result.optimum)
-    _emit(
-        args,
+    return (
         _csv_text(columns, (vars(point).values() for point in result.sweep)),
         {"scenario": result.scenario, "config": echo, "optimum": optimum},
     )
-    return 0
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its sub-parsers by command, built once per process; parsing does not change them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="osdlat",
         description="Latency- and complexity-aware short-packet link tools",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
-
-    def common(sub):
-        sub.add_argument("--out", help="CSV output path (default stdout)")
-        sub.add_argument("--config", type=_file_text, help="JSON file whose values override flags")
 
     rate = subs.add_parser("rate", help="normal-approximation rate table")
     rate.add_argument("--n", type=int, required=True)
     rate.add_argument("--eps", type=float, required=True)
     rate.add_argument("--snr-db-range", required=True, help="start:stop:step in dB")
     rate.add_argument("--nodes", type=int, default=QUADRATURE_NODES)
-    common(rate)
     rate.set_defaults(func=cmd_rate)
-    registry["rate"] = rate
 
     comp = subs.add_parser("complexity", help="OSD complexity and latency table")
     comp.add_argument("--n", type=int, required=True)
@@ -358,9 +355,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     comp.add_argument("--dm", type=float, help="latency deadline in seconds")
     comp.add_argument("--ts", type=float, default=1e-6, help="symbol time in seconds")
     comp.add_argument("--tb", type=float, default=1e-9, help="binary-operation time in seconds")
-    common(comp)
     comp.set_defaults(func=cmd_complexity)
-    registry["complexity"] = comp
 
     trd = subs.add_parser("tradeoff", help="complexity/penalty law evaluation or fit")
     trd.add_argument("--n", type=float, default=128)
@@ -369,9 +364,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     trd.add_argument("--params-file", type=_file_text, help="JSON law-parameter document")
     trd.add_argument("--fit", type=_file_text, help="CSV of delta_rho_db,c points to fit")
     trd.add_argument("--n-anchor", type=int, default=128, help="blocklength tag for --fit")
-    common(trd)
     trd.set_defaults(func=cmd_tradeoff)
-    registry["tradeoff"] = trd
 
     sim = subs.add_parser("simulate", help="Monte Carlo BLER / required SNR")
     sim.add_argument("--code", required=True, help="eBCH code as NxK, e.g. 64x36")
@@ -382,9 +375,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--min-errors", type=int, default=100)
     sim.add_argument("--max-trials", type=int, default=10**6)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(sim)
     sim.set_defaults(func=cmd_simulate)
-    registry["simulate"] = sim
 
     scn = subs.add_parser("scenario", help="optimization sweeps")
     scn.add_argument("--which", choices=("max-rate", "max-k", "min-latency"), required=True)
@@ -399,22 +390,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     scn.add_argument("--n-step", type=int, default=1)
     scn.add_argument("--rate-step", type=float, default=0.05)
     scn.add_argument("--extrapolation", choices=tradeoff.EXTRAPOLATIONS, default="power")
-    scn.add_argument(
-        "--params-file", type=_file_text, help="JSON law-parameter document applied to all n"
-    )
-    common(scn)
+    scn.add_argument("--params-file", type=_file_text, help="JSON law-parameter document applied to all n")
     scn.set_defaults(func=cmd_scenario)
-    registry["scenario"] = scn
 
-    return parser, registry
+    for sub in subs.choices.values():
+        sub.add_argument("--out", help="CSV output path (default stdout)")
+        sub.add_argument("--config", type=_file_text, help="JSON file whose values override flags")
+    return parser
 
 
-def _config_argv(parser, sub, text: str) -> list[str]:
+def _config_argv(parser, args, text: str) -> list[str]:
     """--flag=value tokens for a --config document.
 
-    Parsed after the command line, they override its flags and pass the
-    same type and choice checks.  The = form keeps values such as -30 or
-    -inf from being read as flags.
+    Its keys are the parsed flags' names, each flag being -- plus its key
+    with _ for -.  Parsed after the command line, they override its flags
+    and pass the same type and choice checks.  The = form keeps values such
+    as -30 or -inf from being read as flags.
     """
     try:
         doc = json.loads(text)
@@ -422,27 +413,27 @@ def _config_argv(parser, sub, text: str) -> list[str]:
         parser.error(f"--config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         parser.error("--config must contain a JSON object")
-    flags = {a.dest: a.option_strings[-1] for a in sub._actions}
-    unknown = set(doc) - (set(flags) - {"help", "config"})
+    unknown = set(doc) - (vars(args).keys() - {"command", "func", "config"})
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
         if value is None or isinstance(value, (bool, list, dict)):
             parser.error(f"config value of {key!r} must be a string or a number, got {value!r}")
-    return [f"{flags[key]}={value}" for key, value in doc.items()]
+    return [f"--{key.replace('_', '-')}={value}" for key, value in doc.items()]
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config is not None:
-        args = parser.parse_args(argv + _config_argv(parser, registry[args.command], args.config))
+        args = parser.parse_args(argv + _config_argv(parser, args, args.config))
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osdlat import cli
+from osdlat import cli, codecsim
+from osdlat.oscomplexity import pattern_count
 from osdlat.scenarios import SweepPoint
 from osdlat.fblmath import required_snr
 from osdlat.tradeoff import TradeoffParams, penalty_to_complexity
@@ -386,6 +387,43 @@ class TestConfigFile:
         doc = json.loads((tmp_path / "maxk.csv.json").read_text())
         assert doc["config"]["power_cap_db"] == -30.0
         assert doc["optimum"] is None
+
+
+class TestParser:
+    def test_every_flag_is_named_by_its_config_key(self):
+        """_config_argv turns a --config key into -- plus the key with _ for -, so every flag of
+        every sub-command must be named that way; each also takes --out and --config."""
+        (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subs.choices) == ["complexity", "rate", "scenario", "simulate", "tradeoff"]
+        for name, sub in subs.choices.items():
+            flags = {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
+            assert {"out", "config"} <= flags.keys(), name
+            assert {dest: ["--" + dest.replace("_", "-")] for dest in flags} == flags, name
+
+
+class TestOrderBound:
+    """simulate refuses an order whose error patterns number over MAX_RANGE_ROWS before the
+    decoder lists them (codecsim._pattern_positions builds every one as a tuple)."""
+
+    @staticmethod
+    def _top_order(k):
+        return max(s for s in range(k + 1) if pattern_count(k, s) <= cli.MAX_RANGE_ROWS)
+
+    @pytest.mark.parametrize("code, k", [("64x36", 36), ("128x64", 64)])
+    def test_order_over_the_bound_exits_3_unlisted(self, code, k):
+        order = self._top_order(k) + 1
+        with mock.patch.object(codecsim, "_pattern_positions", side_effect=AssertionError) as listed:
+            proc = run_cli("simulate", "--code", code, "--order", str(order), "--snr-db", "3",
+                           "--max-trials", "1", check=False)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert f"--order {order} on {code} has {pattern_count(k, order)} error patterns" in proc.stderr
+        listed.assert_not_called()
+
+    @pytest.mark.parametrize("code, k", [("64x36", 36), ("128x64", 64)])
+    def test_largest_order_under_the_bound_runs(self, code, k):
+        order = self._top_order(k)
+        proc = run_cli("simulate", "--code", code, "--order", str(order), "--snr-db", "3", "--max-trials", "1")
+        assert proc.stdout.splitlines()[1].split(",")[1:3] == [str(order), "1"]
 
 
 def _sweep_args(lo, hi, step):

@@ -48,9 +48,9 @@ warm-up run; ``CLI_SAMPLES`` samples per side, sides alternating, each
 recorded with the medians.  Across a change of the random stream the two
 sides decode different words, so ``s1_osd_decode``, whose search scores
 what the words need, then compares work as well as speed.
-Machine facts, both SHAs, both ``src/`` line counts and the git blob SHAs
-of the change's ``src/`` files close the record, so it can be matched to
-the commit that holds the change.
+Machine facts, both SHAs, both sides' ``src/`` line counts (per file and
+in total) and the git blob SHAs of the change's ``src/`` files close the
+record, so it can be matched to the commit that holds the change.
 
 Run it on an otherwise idle machine: with 10 pairs of 20 s runs over four
 workloads plus the three suites it takes about an hour.
@@ -218,9 +218,11 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def src_lines(side: Path) -> int:
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in sorted((side / "src" / "osdlat").glob("*.py")))
+def src_lines(side: Path) -> dict:
+    """The line count of every src/osdlat file, and their total."""
+    counts = {p.name: len(p.read_text(encoding="utf-8").splitlines())
+              for p in sorted((side / "src" / "osdlat").glob("*.py"))}
+    return {"src_lines": sum(counts.values()), "src_lines_by_file": counts}
 
 
 def src_blobs(side: Path) -> dict:
@@ -429,10 +431,10 @@ def main(argv=None) -> int:
         parent = Path(tmp)
         export(args.parent, parent)
         record["parent"] = {"rev": args.parent, "sha": git("rev-parse", args.parent),
-                            "src_lines": src_lines(parent)}
+                            **src_lines(parent)}
         record["change"] = {"base_sha": git("rev-parse", "HEAD"),
                             "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "tests", "tools")),
-                            "src_lines": src_lines(ROOT), "src_blobs": src_blobs(ROOT)}
+                            **src_lines(ROOT), "src_blobs": src_blobs(ROOT)}
         sides = {"parent": parent, "change": ROOT}
 
         record["workloads"] = {}

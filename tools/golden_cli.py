@@ -88,8 +88,10 @@ def command_set() -> list[Case]:
     add("rate", "--n", "1000", "--eps", "1e-3", "--snr-db-range", "5:5:1", "--nodes", "64")
 
     add("complexity", "--n", "128", "--k", "64", "--orders", "0:3")
-    add("complexity", "--n", "128", "--k", "64", "--orders", "3:1", rc=3, err="'3:1'")
-    add("complexity", "--n", "128", "--k", "64", "--orders", "1", rc=3, err="expected lo:hi, got '1'")
+    add("complexity", "--n", "128", "--k", "64", "--orders", "3:1", rc=3,
+        err="--orders: expected lo <= hi, got '3:1'")
+    add("complexity", "--n", "128", "--k", "64", "--orders", "1", rc=3,
+        err="--orders: expected lo:hi, got '1'")
     for tb in BINOP_TIMES:
         add("complexity", "--n", "128", "--k", "64", "--orders", "0:3", "--dm", "1e-3", "--tb", tb)
     # a complexity, and a latency k*c*T_b, past the float range
@@ -145,6 +147,10 @@ def command_set() -> list[Case]:
         "--min-errors", "20", "--max-trials", "3000")
     # an order above k, a code that is not built in and one not written NxK
     add(*sim, "--order", "99", "--snr-db", "6", rc=3, err="order")
+    # orders with more error patterns than MAX_RANGE_ROWS, refused before any pattern is listed
+    for order, patterns in (("6", "83278001"), ("64", str(2**64))):
+        add("simulate", "--code", "128x64", "--order", order, "--snr-db", "3", "--max-trials", "1",
+            rc=3, err=f"--order {order} on 128x64 has {patterns} error patterns")
     add("simulate", "--code", "10x5", "--order", "0", "--snr-db", "6", rc=3, err="not a supported")
     add("simulate", "--code", "64-36", "--order", "0", "--snr-db", "6", rc=3, err="must look like 64x36, got '64-36'")
     # SNRs whose linear value overflows or underflows, and sweep grids that are
@@ -230,13 +236,16 @@ def command_set() -> list[Case]:
         add(*scn, "max-rate", "--n", "128", "--dm", "1e-3", "--rate-step", step, rc=3, err="rate_step must be in (0, 1)")
 
     add("rate", "--n", "64", "--eps", "1e-3", "--snr-db-range", "0:1:1", "--config", "{tmp}/cfg.json")
-    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", rc=3, err="start:stop:step")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "nope", rc=3,
+        err="--snr-db-range: range must look like start:stop:step")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "5:1:1", rc=3,
-        err="range needs stop >= start and step > 0, got '5:1:1'")
+        err="--snr-db-range: range needs stop >= start and step > 0, got '5:1:1'")
     add("rate", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=2, err=("usage: osdlat rate", "--n"))
     add("rate", "--n", "0", "--eps", "1e-3", "--snr-db-range", "0:1:1", rc=3, err="blocklength must be >= 1")
-    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", rc=3, err="finite")
-    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", rc=3, err="rows")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:inf:1", rc=3,
+        err="--snr-db-range: range bounds and step must be finite")
+    add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "0:1e9:1e-9", rc=3,
+        err="--snr-db-range: range '0:1e9:1e-9' has more than 100000 rows")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range", "3000:3100:50", rc=3, err="linear")
     add("rate", "--n", "128", "--eps", "1e-3", "--snr-db-range=-1e308:0:1e308", rc=3, err="linear")
     return cases
